@@ -10,10 +10,9 @@
 // line while the sweep runs.
 //
 // With -remote URL the cells are not simulated locally at all: each study's
-// specs are submitted to a wnserved instance — or a wncluster coordinator,
-// which speaks the same protocol — and the streamed results are reassembled
-// in place. The determinism contract makes remote output byte-identical to
-// a local run at any topology. Only experiments in the server's resolver
+// specs are submitted to a wnserved instance and the streamed results are
+// reassembled in place. The determinism contract makes remote output
+// byte-identical to a local run. Only experiments in the server's resolver
 // registry (see `wnserved` startup output) can run remotely; -parallel and
 // -cache then apply on the server, not here. -remote-retries bounds how
 // often a shed (429) or transiently failing submission is retried, and a
@@ -22,7 +21,6 @@
 // Usage:
 //
 //	wnbench [-exp all|list|table1|fig1|...|areapower]
-//	        [-backend super|batch|ref]
 //	        [-full] [-traces N] [-invocations N] [-out DIR] [-samples N]
 //	        [-parallel N] [-cache DIR] [-progress] [-remote URL] [-remote-retries N]
 //	        [-faultpoints N] [-faultbench A,B] [-cpuprofile FILE] [-memprofile FILE]
@@ -87,41 +85,49 @@ var registry = []expEntry{
 }
 
 func main() {
-	os.Exit(realMain())
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// realMain returns the process exit code instead of calling os.Exit, so the
-// deferred profile writers installed below always flush.
-func realMain() int {
+// realMain runs the command on args, writing results to stdout and
+// diagnostics to stderr, and returns the process exit code instead of
+// calling os.Exit, so the deferred profile writers installed below always
+// flush.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("wnbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp           = flag.String("exp", "all", "experiment to run ('list' enumerates)")
-		full          = flag.Bool("full", false, "paper protocol: 9 traces x 3 invocations, paper-scale inputs")
-		traces        = flag.Int("traces", 0, "override number of harvest traces")
-		invocations   = flag.Int("invocations", 0, "override invocations per trace")
-		outDir        = flag.String("out", "out", "directory for generated images and CSVs")
-		samples       = flag.Int("samples", 120, "points per runtime-quality curve")
-		parallel      = flag.Int("parallel", 0, "sweep workers (0 = all CPUs, 1 = serial)")
-		cacheDir      = flag.String("cache", "", "result-cache directory (repeat runs skip simulated cells)")
-		progress      = flag.Bool("progress", false, "render live sweep progress on stderr")
-		remote        = flag.String("remote", "", "run sweeps on a wnserved or wncluster instance at this base URL")
-		remoteRetries = flag.Int("remote-retries", 3, "retry budget per remote submission/stream (429 and transient failures)")
-		backend       = flag.String("backend", "super", "execution engine: super (translated), batch (interpreter), ref (per-instruction)")
-		faultPoints   = flag.Int("faultpoints", 32, "kill points per fault-injection cell (-exp faults)")
-		faultBench    = flag.String("faultbench", "", "comma-separated benchmark filter for -exp faults (default: all)")
-		cpuprofile    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memprofile    = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
+		exp           = fs.String("exp", "all", "experiment to run ('list' enumerates)")
+		full          = fs.Bool("full", false, "paper protocol: 9 traces x 3 invocations, paper-scale inputs")
+		traces        = fs.Int("traces", 0, "override number of harvest traces")
+		invocations   = fs.Int("invocations", 0, "override invocations per trace")
+		outDir        = fs.String("out", "out", "directory for generated images and CSVs")
+		samples       = fs.Int("samples", 120, "points per runtime-quality curve")
+		parallel      = fs.Int("parallel", 0, "sweep workers (0 = all CPUs, 1 = serial)")
+		cacheDir      = fs.String("cache", "", "result-cache directory (repeat runs skip simulated cells)")
+		progress      = fs.Bool("progress", false, "render live sweep progress on stderr")
+		remote        = fs.String("remote", "", "run sweeps on a wnserved instance at this base URL")
+		remoteRetries = fs.Int("remote-retries", 3, "retry budget per remote submission/stream (429 and transient failures)")
+		faultPoints   = fs.Int("faultpoints", 32, "kill points per fault-injection cell (-exp faults)")
+		faultBench    = fs.String("faultbench", "", "comma-separated benchmark filter for -exp faults (default: all)")
+		cpuprofile    = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memprofile    = fs.String("memprofile", "", "write a heap profile taken after the run to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "wnbench:", err)
+			fmt.Fprintln(stderr, "wnbench:", err)
 			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "wnbench:", err)
+			fmt.Fprintln(stderr, "wnbench:", err)
 			return 1
 		}
 		defer pprof.StopCPUProfile()
@@ -130,30 +136,23 @@ func realMain() int {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "wnbench:", err)
+				fmt.Fprintln(stderr, "wnbench:", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // settle allocations so the profile reflects live heap
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "wnbench:", err)
+				fmt.Fprintln(stderr, "wnbench:", err)
 			}
 		}()
 	}
 
-	if b, err := experiments.ParseBackend(*backend); err != nil {
-		fmt.Fprintln(os.Stderr, "wnbench:", err)
-		return 2
-	} else {
-		experiments.SetExecBackend(b)
-	}
-
 	if *exp == "list" {
-		listExperiments(os.Stdout)
+		listExperiments(stdout)
 		return 0
 	}
 	if err := validateExp(*exp); err != nil {
-		fmt.Fprintln(os.Stderr, "wnbench:", err)
+		fmt.Fprintln(stderr, "wnbench:", err)
 		return 2
 	}
 
@@ -172,14 +171,14 @@ func realMain() int {
 	if *cacheDir != "" {
 		dc, err := sweep.NewDiskCache(*cacheDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "wnbench:", err)
+			fmt.Fprintln(stderr, "wnbench:", err)
 			return 1
 		}
 		opts.Cache = dc
 	}
 	if *progress {
 		opts.OnProgress = func(p sweep.Progress) {
-			fmt.Fprintf(os.Stderr, "\rsweep: %d/%d jobs done (%d cache hits)   ", p.Done, p.Total, p.CacheHits)
+			fmt.Fprintf(stderr, "\rsweep: %d/%d jobs done (%d cache hits)   ", p.Done, p.Total, p.CacheHits)
 		}
 	}
 	eng := sweep.New(opts)
@@ -190,17 +189,17 @@ func realMain() int {
 		proto.Runner = cl
 	}
 
-	ctx := &runCtx{w: os.Stdout, proto: proto, outDir: *outDir, samples: *samples,
+	ctx := &runCtx{w: stdout, proto: proto, outDir: *outDir, samples: *samples,
 		faultPoints: *faultPoints, faultBench: *faultBench}
 	err := run(*exp, ctx)
 	if *progress {
-		fmt.Fprintln(os.Stderr)
+		fmt.Fprintln(stderr)
 	}
 	if m := eng.Metrics(); m.Submitted > 0 && (*progress || *cacheDir != "") {
-		fmt.Fprintf(os.Stderr, "sweep: %s on %d workers\n", m, eng.Workers())
+		fmt.Fprintf(stderr, "sweep: %s on %d workers\n", m, eng.Workers())
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "wnbench:", err)
+		fmt.Fprintln(stderr, "wnbench:", err)
 		return 1
 	}
 	return 0

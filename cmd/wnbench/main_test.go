@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -78,5 +80,47 @@ func TestValidateExpRejectsUnknown(t *testing.T) {
 	}
 	if err := validateExp("all"); err != nil {
 		t.Errorf("validateExp(all): %v", err)
+	}
+}
+
+// TestExpAllGolden pins the default evaluation: `wnbench -exp all` must
+// print exactly testdata/exp_all.golden, with the output directory
+// written as <out>. Any change to a reported number, row order or
+// message shows up here; a deliberate one is re-pinned by regenerating
+// the golden with
+//
+//	d=$(mktemp -d); go run ./cmd/wnbench -out "$d" | sed "s#$d#<out>#g" > cmd/wnbench/testdata/exp_all.golden
+//
+// and publishing the before/after numbers with the change.
+func TestExpAllGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole default evaluation")
+	}
+	want, err := os.ReadFile("testdata/exp_all.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	if code := realMain([]string{"-out", dir}, &stdout, &stderr); code != 0 {
+		t.Fatalf("wnbench -exp all exited %d: %s", code, stderr.String())
+	}
+	got := strings.ReplaceAll(stdout.String(), dir, "<out>")
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("wnbench -exp all output differs from testdata/exp_all.golden at line %d:\n got: %q\nwant: %q\n"+
+				"if the change is intended, regenerate the golden as the comment on TestExpAllGolden says", i+1, g, w)
+		}
 	}
 }

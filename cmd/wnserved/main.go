@@ -11,14 +11,8 @@
 //	GET  /v1/jobs              list known jobs
 //	GET  /v1/jobs/{id}         job status (+results when done)
 //	GET  /v1/jobs/{id}/stream  NDJSON progress/result/done events
-//	GET  /v1/cache/{key}       result-cache peek (cluster cache federation)
 //	GET  /metrics              Prometheus text exposition
 //	GET  /healthz, /readyz     liveness / readiness (503 while draining)
-//
-// With -cache-upstream URL the result cache reads through to another node's
-// /v1/cache/{key} endpoint — typically the wncluster coordinator, which has
-// merged every result any worker produced — so a worker only simulates a
-// cell no cluster member has seen. Writes stay local.
 //
 // SIGINT/SIGTERM starts a graceful drain: new submissions are shed with
 // 429 while accepted jobs finish, bounded by -drain; a second signal
@@ -27,7 +21,7 @@
 // Usage:
 //
 //	wnserved [-addr :8080] [-parallel N] [-cache DIR] [-cache-mem N]
-//	         [-cache-upstream URL] [-queue N] [-max-cells N] [-timeout D] [-drain D]
+//	         [-queue N] [-max-cells N] [-timeout D] [-drain D]
 package main
 
 import (
@@ -58,7 +52,6 @@ func realMain() int {
 		parallel = flag.Int("parallel", 0, "sweep workers shared by all jobs (0 = all CPUs)")
 		cacheDir = flag.String("cache", "", "persist results on disk under this directory")
 		cacheMem = flag.Int("cache-mem", 4096, "in-memory result cache entries (0 = unbounded)")
-		upstream = flag.String("cache-upstream", "", "read through to this node's /v1/cache/{key} on local cache misses")
 		queue    = flag.Int("queue", 16, "job queue depth before submissions are shed with 429")
 		maxCells = flag.Int("max-cells", 4096, "largest accepted batch")
 		timeout  = flag.Duration("timeout", 0, "default per-job deadline (0 = none)")
@@ -82,9 +75,6 @@ func realMain() int {
 		cache = dc
 	} else {
 		cache = sweep.NewMemoryCacheSize(*cacheMem)
-	}
-	if *upstream != "" {
-		cache = serve.NewFederatedCache(cache, *upstream, 0)
 	}
 
 	srv, err := serve.New(serve.Config{

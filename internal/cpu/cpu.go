@@ -69,11 +69,6 @@ type CPU struct {
 	// instruction instead of a map probe.
 	amenable []uint64
 
-	// Backend selects the batched executor Run dispatches to. The zero
-	// value is BackendSuper: translated superblocks with deopt to the
-	// per-instruction path. BackendBatch forces the PR 3 interpreter.
-	Backend Backend
-
 	decodeCache []decoded     // lazily built per program image
 	decodeErrs  map[int]error // slot -> original isa.Decode failure
 	trans       *translation  // lazily built superblock translation

@@ -6,29 +6,14 @@ import (
 	"whatsnext/internal/wncheck"
 )
 
-// Backend selects the batched executor implementation behind Run.
-type Backend uint8
-
-const (
-	// BackendSuper (the zero value, so it is the default) executes fused
-	// superblock closures and deoptimizes to RunUntil at every boundary the
-	// runtimes observe: NV-store hooks, per-instruction cost replay over
-	// store/mul blocks, skim, halt, faults, untranslated code, and the
-	// budget tail.
-	BackendSuper Backend = iota
-	// BackendBatch forces the per-instruction batched interpreter
-	// (RunUntil) unconditionally — the PR 3 engine, kept as the deopt
-	// target and the A/B reference for `wnbench -backend batch`.
-	BackendBatch
-)
-
-// Run dispatches one batched execution window to the selected backend. It
-// has RunUntil's exact contract: same stop reasons, same overshoot bound
-// (budget + MaxInstrCycles - 1), same Stats and cost replay semantics.
+// Run executes one batched window on the superblock backend: fused
+// superblock closures that deoptimize to RunUntil at every boundary the
+// runtimes observe (NV-store hooks, per-instruction cost replay over
+// store/mul blocks, skim, halt, faults, untranslated code, and the budget
+// tail). It has RunUntil's exact contract: same stop reasons, same
+// overshoot bound (budget + MaxInstrCycles - 1), same Stats and cost
+// replay semantics.
 func (c *CPU) Run(budget uint64, costs *[]Cost) (BatchResult, error) {
-	if c.Backend == BackendBatch {
-		return c.RunUntil(budget, costs)
-	}
 	return c.RunSuper(budget, costs)
 }
 
@@ -745,7 +730,6 @@ func (c *CPU) Fork(m *mem.Memory) *CPU {
 		SkimTarget: c.SkimTarget,
 		SkimArmed:  c.SkimArmed,
 		Stats:      c.Stats,
-		Backend:    c.Backend,
 
 		amenable:    c.amenable,
 		decodeCache: c.decodeCache,

@@ -230,26 +230,6 @@ func TestRunSuperMemoParity(t *testing.T) {
 	assertSameState(t, ref, sup, refM, supM)
 }
 
-// TestRunDispatch pins the backend selector: BackendBatch must behave as
-// RunUntil and the default zero value as the superblock executor, both
-// producing identical results.
-func TestRunDispatch(t *testing.T) {
-	for _, backend := range []Backend{BackendSuper, BackendBatch} {
-		ref, refM := device(t, diffPrograms["mixed-loop"])
-		got, gotM := device(t, diffPrograms["mixed-loop"])
-		got.Backend = backend
-		if _, _, err := stepRef(t, ref); err != nil {
-			t.Fatal(err)
-		}
-		for !got.Halted {
-			if _, err := got.Run(1<<62, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		assertSameState(t, ref, got, refM, gotM)
-	}
-}
-
 // TestTranslationBoundariesMatchCFG is the satellite-1 contract: every fused
 // superblock must lie inside exactly one wncheck CFG block, starting at the
 // block's first instruction, and a block fused through its terminator must
@@ -299,7 +279,7 @@ func TestTranslationBoundariesMatchCFG(t *testing.T) {
 
 // TestRunBudgetOvershootAllStopReasons is the satellite-2 regression: for
 // every StopReason — budget, halt, store-hook, skim, and fault — and for
-// both backends, a window never exceeds budget + MaxInstrCycles - 1 cycles.
+// both batched executors, a window never exceeds budget + MaxInstrCycles - 1 cycles.
 // The programs are chosen so every reason is actually observed, and the test
 // fails if one never occurs.
 func TestRunBudgetOvershootAllStopReasons(t *testing.T) {
@@ -319,22 +299,25 @@ func TestRunBudgetOvershootAllStopReasons(t *testing.T) {
 			HALT
 		`, // StopFault after a multiply-heavy run (worst-case overshoot)
 	}
-	for _, backend := range []Backend{BackendSuper, BackendBatch} {
+	executors := []struct {
+		name string
+		run  func(*CPU, uint64, *[]Cost) (BatchResult, error)
+	}{{"super", (*CPU).RunSuper}, {"batch", (*CPU).RunUntil}}
+	for _, exec := range executors {
 		seen := map[StopReason]bool{}
 		for _, src := range progs {
 			for budget := uint64(1); budget <= 40; budget++ {
 				c, _ := device(t, src)
-				c.Backend = backend
 				c.BeforeStore = func(uint32, int) {} // arm the StopStore path
 				for i := 0; !c.Halted; i++ {
 					if i > 100_000 {
 						t.Fatal("runaway program")
 					}
-					res, err := c.Run(budget, nil)
+					res, err := exec.run(c, budget, nil)
 					seen[res.Reason] = true
 					if res.Cycles > budget+MaxInstrCycles-1 {
-						t.Fatalf("backend %d budget %d: window ran %d cycles (reason %d), want <= %d",
-							backend, budget, res.Cycles, res.Reason, budget+MaxInstrCycles-1)
+						t.Fatalf("%s budget %d: window ran %d cycles (reason %d), want <= %d",
+							exec.name, budget, res.Cycles, res.Reason, budget+MaxInstrCycles-1)
 					}
 					if err != nil {
 						break // fault windows end the run
@@ -349,7 +332,7 @@ func TestRunBudgetOvershootAllStopReasons(t *testing.T) {
 		}
 		for _, want := range []StopReason{StopBudget, StopHalt, StopStore, StopSkim, StopFault} {
 			if !seen[want] {
-				t.Errorf("backend %d: StopReason %d never observed", backend, want)
+				t.Errorf("%s: StopReason %d never observed", exec.name, want)
 			}
 		}
 	}

@@ -115,6 +115,11 @@ func TestFigure2Shape(t *testing.T) {
 	if len(r.ImagePaths) != 3 {
 		t.Fatalf("wrote %d images, want 3", len(r.ImagePaths))
 	}
+	for i, name := range []string{"fig2a_baseline.pgm", "fig2b_baseline_budget.pgm", "fig2c_wn_budget.pgm"} {
+		if got := filepath.Base(r.ImagePaths[i]); got != name {
+			t.Errorf("image %d is %s, want %s (panels are written in a, b, c order)", i, got, name)
+		}
+	}
 	for _, p := range r.ImagePaths {
 		st, err := os.Stat(p)
 		if err != nil || st.Size() == 0 {

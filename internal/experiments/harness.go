@@ -169,7 +169,6 @@ func bareDeviceOn(m *mem.Memory, c *compiler.Compiled, inputs map[string][]int64
 	if memo {
 		cp.Memo = cpu.NewMemoTable()
 	}
-	applyBackend(cp)
 	return cp, m, nil
 }
 
@@ -211,7 +210,7 @@ func runContinuous(c *compiler.Compiled, inputs map[string][]int64, opt contOpti
 		if opt.cycleBudget != 0 && opt.cycleBudget-cycles < budget {
 			budget = opt.cycleBudget - cycles
 		}
-		res, err := runWindow(cp, budget)
+		res, err := cp.Run(budget, nil)
 		if err != nil {
 			return contResult{}, nil, fmt.Errorf("experiments: %s fault: %w", c.Kernel.Name, err)
 		}

@@ -60,8 +60,6 @@ func Figure2(proto Protocol, outDir string) (Fig2Result, error) {
 		return Fig2Result{}, err
 	}
 
-	imgs := map[string][]float64{"fig2a_baseline": golden, "fig2c_wn_budget": wnImg}
-
 	_, m, err = runContinuous(precise, in, contOptions{cycleBudget: res.Budget})
 	if err != nil {
 		return Fig2Result{}, err
@@ -73,11 +71,18 @@ func Figure2(proto Protocol, outDir string) (Fig2Result, error) {
 	if err != nil {
 		return Fig2Result{}, err
 	}
-	imgs["fig2b_baseline_budget"] = half
 
 	if outDir != "" {
-		for name, px := range imgs {
-			path, err := writePGM(outDir, name, px, p.ImgW, p.ImgH)
+		imgs := []struct {
+			name string
+			px   []float64
+		}{
+			{"fig2a_baseline", golden},
+			{"fig2b_baseline_budget", half},
+			{"fig2c_wn_budget", wnImg},
+		}
+		for _, img := range imgs {
+			path, err := writePGM(outDir, img.name, img.px, p.ImgW, p.ImgH)
 			if err != nil {
 				return Fig2Result{}, err
 			}

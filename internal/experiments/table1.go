@@ -69,7 +69,7 @@ func runTable1Cell(b *workloads.Benchmark, p workloads.Params) (Table1Row, error
 	cp.SetAmenablePCs(c.Program.Amenable)
 	var cycles uint64
 	for !cp.Halted {
-		res, err := runWindow(cp, 1<<62)
+		res, err := cp.Run(1<<62, nil)
 		if err != nil {
 			return Table1Row{}, fmt.Errorf("%s fault: %w", b.Name, err)
 		}

@@ -117,7 +117,7 @@ func (r *CrossReport) String() string {
 // the boundary schedule), and the final NV data.
 type goldenWorld struct {
 	pcs    []uint32
-	costs  []cpu.Cost
+	costs  []uint8 // per-instruction cycle costs
 	cycles uint64
 	data   []byte
 	// maxCommitGap is the largest cycle distance between consecutive
@@ -137,7 +137,7 @@ func GoldenProgress(t Target, cfg Config) (maxGap, total uint64, err error) {
 	}
 	g, err := goldenRun(t, cfg, nil, 0)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, fmt.Errorf("faultinject: %s: golden run: %w", t.Name, err)
 	}
 	return g.maxCommitGap, g.cycles, nil
 }
@@ -172,10 +172,10 @@ func goldenRun(t Target, cfg Config, inputWords []uint32, bump uint32) (*goldenW
 	c.SetAmenablePCs(t.Amenable)
 
 	g := &goldenWorld{}
-	const guard = uint64(1) << 32
+	budget := cfg.goldenBudget()
 	for !c.Halted {
-		if g.cycles > guard {
-			return nil, fmt.Errorf("golden run did not halt within %d cycles", guard)
+		if g.cycles > budget {
+			return nil, errNoHalt(budget)
 		}
 		pc := c.Regs[isa.PC]
 		cost, err := c.Step()
@@ -183,7 +183,7 @@ func goldenRun(t Target, cfg Config, inputWords []uint32, bump uint32) (*goldenW
 			return nil, err
 		}
 		g.pcs = append(g.pcs, pc)
-		g.costs = append(g.costs, cost)
+		g.costs = append(g.costs, uint8(cost.Cycles))
 		g.cycles += uint64(cost.Cycles)
 	}
 	g.data = make([]byte, cfg.Mem.DataBytes)
@@ -195,7 +195,7 @@ func goldenRun(t Target, cfg Config, inputWords []uint32, bump uint32) (*goldenW
 	// boundary falls after every executed SKM, plus run start and halt.
 	var gap uint64
 	for i, pc := range g.pcs {
-		gap += uint64(g.costs[i].Cycles)
+		gap += uint64(g.costs[i])
 		off := int(pc - mem.CodeBase)
 		if off >= 0 && off+4 <= len(t.Image) {
 			w := uint32(t.Image[off]) | uint32(t.Image[off+1])<<8 |
@@ -313,7 +313,7 @@ func CrossValidate(t Target, cfg CrossConfig, cert *wncheck.Certificate) (*Cross
 			}
 		}
 		bounds = append(bounds, b)
-		cum += uint64(world0.costs[i].Cycles)
+		cum += uint64(world0.costs[i])
 	}
 
 	selected := bounds

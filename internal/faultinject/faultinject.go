@@ -25,7 +25,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"whatsnext/internal/cpu"
 	"whatsnext/internal/energy"
 	"whatsnext/internal/intermittent"
 	"whatsnext/internal/mem"
@@ -44,10 +43,32 @@ type Config struct {
 	// consulted — the injector kills power explicitly rather than through
 	// the harvesting model.
 	Device energy.DeviceConfig
-	// Budget bounds the active cycles of any single run; zero derives
-	// 4x the golden run plus slack. An injected run that exceeds it has
+	// Budget bounds the active cycles of any single run, the golden run
+	// included; zero bounds the golden run by goldenGuard and derives the
+	// injected runs' bound as 4x the golden run plus slack. A golden run
+	// that exceeds it is an error; an injected run that exceeds it has
 	// lost forward progress, which counts as a divergence.
 	Budget uint64
+}
+
+// goldenGuard bounds a golden run when Config.Budget is zero. It sits
+// above every shipped kernel's golden run (the longest, paper-size
+// Conv2d, certifies under 6e7 cycles) and bounds the per-instruction
+// trace a golden pass records, so a program that never halts fails in
+// bounded time and memory.
+const goldenGuard = uint64(1) << 27
+
+// goldenBudget is the cycle bound of a golden (uninterrupted) run.
+func (cfg Config) goldenBudget() uint64 {
+	if cfg.Budget != 0 {
+		return cfg.Budget
+	}
+	return goldenGuard
+}
+
+// errNoHalt reports a golden run that exhausted its cycle bound.
+func errNoHalt(budget uint64) error {
+	return fmt.Errorf("did not halt within %d cycles", budget)
 }
 
 // Schedule picks the kill points.
@@ -114,20 +135,36 @@ func Run(t Target, cfg Config, sched Schedule) (*Report, error) {
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("faultinject: Config.Policy is required")
 	}
-	if cfg.Mem == (mem.Config{}) {
-		cfg.Mem = mem.DefaultConfig()
-	}
-	if cfg.Device == (energy.DeviceConfig{}) {
-		cfg.Device = energy.DefaultDeviceConfig()
+	normalize(&cfg)
+	golden, points, rep, err := plan(t, &cfg, sched)
+	if err != nil {
+		return nil, err
 	}
 
-	var costs []cpu.Cost
-	golden, err := runOnce(t, cfg, noKill, ^uint64(0), &costs, nil)
-	if err != nil {
-		return nil, fmt.Errorf("faultinject: %s: golden run: %w", t.Name, err)
+	for _, kill := range points {
+		rep.Schedule = append(rep.Schedule, kill.cycle)
+		got, err := runOnce(t, cfg, kill.cycle, cfg.Budget, nil, nil)
+		if err != nil {
+			return nil, fmt.Errorf("faultinject: %s: kill at cycle %d: %w", t.Name, kill.cycle, err)
+		}
+		if d, diverged := diff(kill, &golden, &got); diverged {
+			rep.Divergences = append(rep.Divergences, d)
+		}
 	}
-	if !golden.halted {
-		return nil, fmt.Errorf("faultinject: %s: golden run did not halt", t.Name)
+	return rep, nil
+}
+
+// plan runs the golden pass both engines share, bounded by
+// cfg.goldenBudget; derives the injected runs' budget when unset; and lays
+// out the kill schedule and the report header.
+func plan(t Target, cfg *Config, sched Schedule) (runResult, []killPoint, *Report, error) {
+	var costs []uint8
+	golden, err := runOnce(t, *cfg, noKill, cfg.goldenBudget(), &costs, nil)
+	if err == nil && !golden.halted {
+		err = errNoHalt(cfg.goldenBudget())
+	}
+	if err != nil {
+		return runResult{}, nil, nil, fmt.Errorf("faultinject: %s: golden run: %w", t.Name, err)
 	}
 	if cfg.Budget == 0 {
 		cfg.Budget = 4*golden.cycles + 65536
@@ -144,18 +181,7 @@ func Run(t Target, cfg Config, sched Schedule) (*Report, error) {
 	if n := len(points); n > 0 {
 		rep.StrideCycles = golden.cycles / uint64(n)
 	}
-
-	for _, kill := range points {
-		rep.Schedule = append(rep.Schedule, kill.cycle)
-		got, err := runOnce(t, cfg, kill.cycle, cfg.Budget, nil, nil)
-		if err != nil {
-			return nil, fmt.Errorf("faultinject: %s: kill at cycle %d: %w", t.Name, kill.cycle, err)
-		}
-		if d, diverged := diff(kill, &golden, &got); diverged {
-			rep.Divergences = append(rep.Divergences, d)
-		}
-	}
-	return rep, nil
+	return golden, points, rep, nil
 }
 
 // killPoint is one scheduled failure: a cycle count and, for reporting,
@@ -169,7 +195,7 @@ type killPoint struct {
 // costs. Boundaries are the cumulative cycle counts after each instruction;
 // the boundary after the final instruction (HALT) is excluded — the run is
 // already over.
-func killPoints(costs []cpu.Cost, total uint64, sched Schedule) []killPoint {
+func killPoints(costs []uint8, total uint64, sched Schedule) []killPoint {
 	if !sched.Exhaustive {
 		var pts []killPoint
 		n := uint64(sched.Points)
@@ -185,7 +211,7 @@ func killPoints(costs []cpu.Cost, total uint64, sched Schedule) []killPoint {
 		if i == len(costs)-1 {
 			break
 		}
-		cum += uint64(co.Cycles)
+		cum += uint64(co)
 		bounds = append(bounds, killPoint{cycle: cum, instr: uint64(i + 1)})
 	}
 	if sched.MaxPoints > 0 && len(bounds) > sched.MaxPoints {
@@ -199,13 +225,13 @@ func killPoints(costs []cpu.Cost, total uint64, sched Schedule) []killPoint {
 }
 
 // instructionAt counts the instructions fully retired before cycle c.
-func instructionAt(costs []cpu.Cost, c uint64) uint64 {
+func instructionAt(costs []uint8, c uint64) uint64 {
 	var cum, n uint64
 	for _, co := range costs {
 		if cum >= c {
 			break
 		}
-		cum += uint64(co.Cycles)
+		cum += uint64(co)
 		n++
 	}
 	return n

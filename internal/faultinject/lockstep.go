@@ -48,29 +48,9 @@ func RunLockstep(t Target, cfg Config, sched Schedule) (*Report, error) {
 		return Run(t, cfg, sched)
 	}
 	normalize(&cfg)
-
-	var costs []cpu.Cost
-	golden, err := runOnce(t, cfg, noKill, ^uint64(0), &costs, nil)
+	golden, points, rep, err := plan(t, &cfg, sched)
 	if err != nil {
-		return nil, fmt.Errorf("faultinject: %s: golden run: %w", t.Name, err)
-	}
-	if !golden.halted {
-		return nil, fmt.Errorf("faultinject: %s: golden run did not halt", t.Name)
-	}
-	if cfg.Budget == 0 {
-		cfg.Budget = 4*golden.cycles + 65536
-	}
-
-	points := killPoints(costs, golden.cycles, sched)
-	rep := &Report{
-		Target:             t.Name,
-		Policy:             cfg.Policy().Name(),
-		GoldenCycles:       golden.cycles,
-		GoldenInstructions: golden.instrs,
-		Points:             len(points),
-	}
-	if n := len(points); n > 0 {
-		rep.StrideCycles = golden.cycles / uint64(n)
+		return nil, err
 	}
 
 	trunk, err := newDevice(t, cfg)

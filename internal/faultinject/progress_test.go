@@ -1,6 +1,7 @@
 package faultinject_test
 
 import (
+	"strings"
 	"testing"
 
 	"whatsnext/internal/compiler"
@@ -152,5 +153,39 @@ func TestLivelockFlaggedAndWitnessed(t *testing.T) {
 	}
 	if c.Halted {
 		t.Fatal("livelock program halted")
+	}
+}
+
+// TestLivelockGoldenPassBounded: every engine's golden pass honors
+// Config.Budget, so a campaign on a program that never halts fails with
+// an error instead of running (and recording its trace) forever.
+func TestLivelockGoldenPassBounded(t *testing.T) {
+	p := loadProgram(t, "livelock.s")
+	target := faultinject.FromProgram("livelock", p)
+	_, cert, err := wncheck.Verify(p, wncheck.Options{Crash: true, Progress: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := faultinject.Config{Policy: policyFactory("clank"), Budget: 1 << 20}
+	sched := faultinject.Schedule{Points: 4}
+	engines := []struct {
+		name string
+		run  func() error
+	}{
+		{"Run", func() error { _, err := faultinject.Run(target, cfg, sched); return err }},
+		{"RunLockstep", func() error { _, err := faultinject.RunLockstep(target, cfg, sched); return err }},
+		{"CrossValidate", func() error {
+			_, err := faultinject.CrossValidate(target, faultinject.CrossConfig{Config: cfg, MaxPoints: 4}, cert)
+			return err
+		}},
+		{"GoldenProgress", func() error { _, _, err := faultinject.GoldenProgress(target, cfg); return err }},
+	}
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			err := e.run()
+			if err == nil || !strings.Contains(err.Error(), "golden run: did not halt within 1048576 cycles") {
+				t.Fatalf("err = %v, want a golden run that did not halt within 1048576 cycles", err)
+			}
+		})
 	}
 }

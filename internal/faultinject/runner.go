@@ -42,6 +42,16 @@ func FromCompiled(name string, c *compiler.Compiled, inputs map[string][]int64) 
 // noKill runs a golden (uninterrupted) execution.
 const noKill = ^uint64(0)
 
+// maxWindow caps one batched window in cycles, so the per-window cost
+// buffer stays small however far away the stop point and budget are.
+const maxWindow = 1 << 16
+
+// Golden passes record each instruction's cycle cost in one byte, so a
+// non-halting program stopped at goldenGuard leaves a trace of bounded
+// size; the conversion fails to compile should an instruction ever cost
+// more than a byte holds.
+const _ = uint8(cpu.MaxInstrCycles)
+
 // runResult is the observable outcome of one run: whether it halted, its
 // pure CPU cycle/instruction counts, and the final NV data region.
 type runResult struct {
@@ -134,7 +144,7 @@ func (d *device) forkOnto(m *mem.Memory) (*device, bool) {
 // checkpoints) land on the exact instruction the reference path would
 // pick, and NV-data stores are routed through Step so BeforeStore hooks
 // (Clank's violation checkpoints, the undo log) retain full fidelity.
-func (d *device) runTo(stop, budget uint64, collect *[]cpu.Cost) error {
+func (d *device) runTo(stop, budget uint64, collect *[]uint8) error {
 	var (
 		forceStep bool
 		costs     []cpu.Cost
@@ -148,7 +158,7 @@ func (d *device) runTo(stop, budget uint64, collect *[]cpu.Cost) error {
 		d.cycles += uint64(cost.Cycles)
 		d.instrs++
 		if collect != nil {
-			*collect = append(*collect, cost)
+			*collect = append(*collect, uint8(cost.Cycles))
 		}
 		return nil
 	}
@@ -177,13 +187,14 @@ func (d *device) runTo(stop, budget uint64, collect *[]cpu.Cost) error {
 		if left := stop - d.cycles; left < win {
 			win = left
 		}
-		if budget != ^uint64(0) {
-			// cycles <= budget here (checked at the top of the loop), so
-			// this cannot underflow; +1 lets the window cross the budget
-			// line so the overshoot is detected.
-			if left := budget - d.cycles + 1; left < win {
-				win = left
-			}
+		// cycles <= budget here (checked at the top of the loop), so this
+		// cannot underflow; +1 lets the window cross the budget line so
+		// the overshoot is detected.
+		if left := budget - d.cycles + 1; left < win {
+			win = left
+		}
+		if win > maxWindow {
+			win = maxWindow
 		}
 		costs = costs[:0]
 		res, err := d.c.Run(win, &costs)
@@ -191,7 +202,9 @@ func (d *device) runTo(stop, budget uint64, collect *[]cpu.Cost) error {
 			d.policy.AfterStep(cost)
 		}
 		if collect != nil {
-			*collect = append(*collect, costs...)
+			for _, cost := range costs {
+				*collect = append(*collect, uint8(cost.Cycles))
+			}
 		}
 		d.cycles += res.Cycles
 		d.instrs += res.Instructions
@@ -218,12 +231,12 @@ func (d *device) result() (runResult, error) {
 
 // runOnce executes the target on a fresh device, killing power at the
 // first instruction boundary at or after killCycle (pure CPU cycles).
-// When collect is non-nil every instruction's cost is appended, giving the
+// When collect is non-nil every instruction's cycle cost is appended, giving the
 // caller the golden run's boundary schedule. When onKill is non-nil it runs
 // right after the forced failure/restore round trip — CrossValidate uses it
 // to advance input locations, modeling an external world that moved on
 // while the device was dark.
-func runOnce(t Target, cfg Config, killCycle, budget uint64, collect *[]cpu.Cost, onKill func(*mem.Memory)) (runResult, error) {
+func runOnce(t Target, cfg Config, killCycle, budget uint64, collect *[]uint8, onKill func(*mem.Memory)) (runResult, error) {
 	d, err := newDevice(t, cfg)
 	if err != nil {
 		return runResult{}, err

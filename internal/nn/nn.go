@@ -8,8 +8,7 @@
 // themselves rather than in separate NVM progress words.
 //
 // The family registers itself with the workloads ByName registry from
-// init, so the sweep resolvers, wnserved, and wncluster can serve NN specs
-// unchanged.
+// init, so the sweep resolvers and wnserved can serve NN specs unchanged.
 package nn
 
 import (

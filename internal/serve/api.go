@@ -6,8 +6,6 @@ import (
 	"net/http"
 	"strconv"
 	"time"
-
-	"whatsnext/internal/sweep"
 )
 
 // Handler mounts the API with request logging.
@@ -17,7 +15,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs", s.handleList)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
 	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
-	mux.HandleFunc("GET /v1/cache/{key}", s.handleCachePeek)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -104,34 +101,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// handleCachePeek serves the raw cached result bytes for a spec hash, or
-// 404. This is the federation read path: a cluster worker that misses its
-// local cache asks its upstream (the coordinator) here before simulating,
-// and a coordinator answers from the results it has already merged. The
-// bytes are exactly what the engine cached, so a federated hit is
-// indistinguishable from a local one.
-func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if !sweep.ValidCacheKey(key) {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "malformed cache key"})
-		return
-	}
-	if s.cfg.Cache == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no cache configured"})
-		return
-	}
-	b, ok := s.cfg.Cache.Get(key)
-	if !ok {
-		s.peekMisses.Add(1)
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "not cached"})
-		return
-	}
-	s.peekHits.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(b)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -16,8 +16,7 @@ import (
 	"whatsnext/internal/sweep"
 )
 
-// Client runs sweep jobs on a remote wnserved (or wncluster coordinator)
-// instance. It implements sweep.Runner, so a Protocol configured with it
+// Client runs sweep jobs on a remote wnserved instance. It implements sweep.Runner, so a Protocol configured with it
 // ships each study's specs over HTTP instead of simulating locally: submit
 // the batch, follow the job's NDJSON stream, and reassemble the per-cell
 // result bytes in submission order. The determinism contract guarantees
@@ -55,9 +54,6 @@ type Client struct {
 func NewClient(base string) *Client {
 	return &Client{base: strings.TrimRight(base, "/"), hc: &http.Client{}}
 }
-
-// Base returns the server URL the client targets.
-func (c *Client) Base() string { return c.base }
 
 // retryDefaults resolves the backoff knobs.
 func (c *Client) retryDefaults() (base, max, jitter time.Duration) {
@@ -117,8 +113,7 @@ func (c *Client) Run(jobs []sweep.Job) ([]json.RawMessage, error) {
 }
 
 // RunContext is Run with cancellation: the submission, the retry waits and
-// the stream all abort when ctx ends. This is what lets a coordinator hedge
-// a shard — dispatch it to a second node and abandon the slow attempt.
+// the stream all abort when ctx ends.
 func (c *Client) RunContext(ctx context.Context, jobs []sweep.Job) ([]json.RawMessage, error) {
 	if len(jobs) == 0 {
 		return nil, nil

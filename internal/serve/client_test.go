@@ -163,84 +163,6 @@ func mustResolve(t *testing.T, specs []sweep.Spec) []sweep.Job {
 	return jobs
 }
 
-// TestCachePeek covers the federation read path: after a job runs, its
-// cells are served raw by GET /v1/cache/{key}; bad keys 400 and unknown
-// keys 404.
-func TestCachePeek(t *testing.T) {
-	cache := sweep.NewMemoryCache()
-	_, ts := newTestServer(t, serve.Config{Resolver: echoResolver, Workers: 1, Cache: cache})
-
-	specs := specN(2)
-	results, err := serve.NewClient(ts.URL).Run(jobsOf(specs))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for i, s := range specs {
-		resp, err := http.Get(ts.URL + "/v1/cache/" + s.Hash())
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := readAll(t, resp)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("peek %d: status %d", i, resp.StatusCode)
-		}
-		if !bytes.Equal(b, results[i]) {
-			t.Errorf("peek %d: %s != result %s", i, b, results[i])
-		}
-	}
-
-	if resp, _ := http.Get(ts.URL + "/v1/cache/not-a-hash"); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed key: status %d, want 400", resp.StatusCode)
-	}
-	missing := sweep.Spec{Experiment: "never-ran"}.Hash()
-	if resp, _ := http.Get(ts.URL + "/v1/cache/" + missing); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown key: status %d, want 404", resp.StatusCode)
-	}
-}
-
-// TestFederatedCacheReadThrough: a worker-side cache that misses locally
-// pulls the bytes from the upstream peek endpoint, then serves the copy
-// locally.
-func TestFederatedCacheReadThrough(t *testing.T) {
-	upstreamCache := sweep.NewMemoryCache()
-	_, ts := newTestServer(t, serve.Config{Resolver: echoResolver, Workers: 1, Cache: upstreamCache})
-
-	spec := sweep.Spec{Experiment: "fed", TraceSeed: 7}
-	key := spec.Hash()
-	upstreamCache.Put(key, []byte(`{"trace":7}`))
-
-	local := sweep.NewMemoryCache()
-	fc := serve.NewFederatedCache(local, ts.URL, time.Second)
-
-	b, ok := fc.Get(key)
-	if !ok || string(b) != `{"trace":7}` {
-		t.Fatalf("federated get = %q, %v; want upstream bytes", b, ok)
-	}
-	if _, ok := local.Get(key); !ok {
-		t.Error("upstream hit was not copied into the local layer")
-	}
-	hits, misses, errs := fc.FederationStats()
-	if hits != 1 || errs != 0 {
-		t.Errorf("stats after hit: hits=%d misses=%d errors=%d", hits, misses, errs)
-	}
-
-	// A second Get must be served locally (upstream counters unchanged).
-	if _, ok := fc.Get(key); !ok {
-		t.Fatal("local re-read missed")
-	}
-	if h2, _, _ := fc.FederationStats(); h2 != 1 {
-		t.Errorf("second read went upstream (hits=%d)", h2)
-	}
-
-	if _, ok := fc.Get(sweep.Spec{Experiment: "absent"}.Hash()); ok {
-		t.Error("miss on both layers reported a hit")
-	}
-	if _, m2, _ := fc.FederationStats(); m2 != 1 {
-		t.Error("upstream miss not counted")
-	}
-}
-
 // forward re-issues a request against base and returns the response.
 func forward(base string, r *http.Request) (*http.Response, error) {
 	url := base + r.URL.Path

@@ -95,8 +95,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("wn_serve_inflight", "Jobs executing right now (0 or 1).", int64(inflight))
 	gauge("wn_serve_jobs_retained", "Jobs held for status queries.", int64(jobsRetained))
 	gauge("wn_serve_draining", "1 while shutdown is draining the queue.", int64(draining))
-	counter("wn_serve_cache_peek_hits_total", "Cache-peek requests answered from the result cache.", s.peekHits.Load())
-	counter("wn_serve_cache_peek_misses_total", "Cache-peek requests that found nothing.", s.peekMisses.Load())
 
 	h := s.hist
 	h.mu.Lock()

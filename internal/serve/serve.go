@@ -39,7 +39,6 @@ import (
 	"log/slog"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"whatsnext/internal/sweep"
@@ -92,8 +91,6 @@ type Server struct {
 	current  *job // job whose cells the engine is running now
 
 	rejected int64 // submissions shed with 429
-
-	peekHits, peekMisses atomic.Int64 // GET /v1/cache/{key} outcomes
 
 	baseCtx context.Context
 	cancel  context.CancelFunc

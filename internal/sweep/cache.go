@@ -130,8 +130,20 @@ func (c *DiskCache) Dir() string { return c.dir }
 // Evictions reports the memory layer's eviction count.
 func (c *DiskCache) Evictions() int64 { return c.mem.Evictions() }
 
-// validKey guards the filesystem against keys that are not spec hashes.
-func validKey(key string) bool { return ValidCacheKey(key) }
+// ValidCacheKey reports whether key has the shape of a spec hash (lowercase
+// hex SHA-256). DiskCache uses it to guard the filesystem against
+// arbitrary keys.
+func ValidCacheKey(key string) bool {
+	if len(key) != 2*32 {
+		return false
+	}
+	for _, r := range key {
+		if (r < '0' || r > '9') && (r < 'a' || r > 'f') {
+			return false
+		}
+	}
+	return true
+}
 
 func (c *DiskCache) path(key string) string {
 	return filepath.Join(c.dir, key+".json")
@@ -142,7 +154,7 @@ func (c *DiskCache) Get(key string) ([]byte, bool) {
 	if v, ok := c.mem.Get(key); ok {
 		return v, true
 	}
-	if !validKey(key) {
+	if !ValidCacheKey(key) {
 		return nil, false
 	}
 	b, err := os.ReadFile(c.path(key))
@@ -157,7 +169,7 @@ func (c *DiskCache) Get(key string) ([]byte, bool) {
 // temp-file rename, so a crashed run never leaves a torn entry).
 func (c *DiskCache) Put(key string, val []byte) error {
 	c.mem.Put(key, val)
-	if !validKey(key) {
+	if !ValidCacheKey(key) {
 		return fmt.Errorf("sweep: invalid cache key %q", key)
 	}
 	tmp := filepath.Join(c.dir, fmt.Sprintf(".tmp-%d-%d", os.Getpid(), c.seq.Add(1)))

@@ -3,8 +3,55 @@ package sweep
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
+
+// TestValidCacheKey: only lowercase-hex SHA-256 spec hashes are keys.
+func TestValidCacheKey(t *testing.T) {
+	good := Spec{Experiment: "x"}.Hash()
+	if !ValidCacheKey(good) {
+		t.Fatalf("spec hash %q rejected", good)
+	}
+	for _, bad := range []string{
+		"", "abc", strings.Repeat("g", 64), strings.Repeat("A", 64),
+		strings.Repeat("0", 63), strings.Repeat("0", 65), "../../../../etc/passwd",
+	} {
+		if ValidCacheKey(bad) {
+			t.Errorf("ValidCacheKey(%q) = true, want false", bad)
+		}
+	}
+}
+
+// TestDiskCacheRejectsMalformedKeys: a key that is not a spec hash never
+// reaches the filesystem, so it can neither write nor read outside the
+// cache directory.
+func TestDiskCacheRejectsMalformedKeys(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewDiskCache(filepath.Join(dir, "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := "../escaped"
+	if err := c.Put(bad, []byte("x")); err == nil {
+		t.Errorf("Put(%q) succeeded, want an invalid-key error", bad)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "escaped.json")); !os.IsNotExist(err) {
+		t.Errorf("Put(%q) wrote outside the cache directory (stat err %v)", bad, err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "escaped.json"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewDiskCache(filepath.Join(dir, "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fresh.Get(bad); ok {
+		t.Errorf("Get(%q) read a file outside the cache directory", bad)
+	}
+}
 
 // TestMemoryCacheLRU: the entry cap evicts least-recently-used entries and
 // counts the evictions; recently-touched entries survive.

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # serve-smoke.sh: end-to-end check of the simulation service from outside
 # the process. Starts wnserved on an ephemeral port, runs the Table I sweep
-# both locally and through `wnbench -remote`, and demands byte-identical
-# output; then pokes the health/metrics endpoints and verifies the daemon
-# drains cleanly on SIGTERM.
+# and the Figure 10 harvested-power cells both locally and through
+# `wnbench -remote`, and demands byte-identical output; then pokes the
+# health/metrics endpoints and verifies the daemon drains cleanly on
+# SIGTERM.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -67,6 +68,16 @@ curl -sf "$url/metrics" | grep -q '^wn_sweep_cache_hits_total [1-9]' \
 curl -sf "$url/metrics" | grep -q '^wn_serve_jobs_done_total 2$' \
     || { echo "serve-smoke: expected 2 completed jobs in metrics"; exit 1; }
 echo "serve-smoke: cached rerun matched; metrics consistent"
+
+# Harvested-power cells (intermittent execution under the energy model)
+# must survive the wire byte for byte too, not just continuous-power ones.
+"$workdir/wnbench" -exp fig10 >"$workdir/local-fig10.txt"
+"$workdir/wnbench" -exp fig10 -remote "$url" >"$workdir/remote-fig10.txt"
+if ! diff -u "$workdir/local-fig10.txt" "$workdir/remote-fig10.txt"; then
+    echo "serve-smoke: remote Figure 10 output differs from local run"
+    exit 1
+fi
+echo "serve-smoke: remote Figure 10 output is byte-identical to local"
 
 kill -TERM "$server_pid"
 for _ in $(seq 1 100); do
