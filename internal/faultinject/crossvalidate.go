@@ -193,19 +193,22 @@ func goldenRun(t Target, cfg Config, inputWords []uint32, bump uint32) (*goldenW
 
 	// Measure the dynamic commit gaps against the instruction image: a
 	// boundary falls after every executed SKM, plus run start and halt.
+	// Each image word is decoded once, not once per execution; executed PCs
+	// are word-aligned (Step faults on any other).
+	skm := make([]bool, len(t.Image)/isa.InstBytes)
+	for slot := range skm {
+		w := binary.LittleEndian.Uint32(t.Image[slot*isa.InstBytes:])
+		in, err := isa.Decode(isa.Word(w))
+		skm[slot] = err == nil && in.Op == isa.OpSkm
+	}
 	var gap uint64
 	for i, pc := range g.pcs {
 		gap += uint64(g.costs[i])
-		off := int(pc - mem.CodeBase)
-		if off >= 0 && off+4 <= len(t.Image) {
-			w := uint32(t.Image[off]) | uint32(t.Image[off+1])<<8 |
-				uint32(t.Image[off+2])<<16 | uint32(t.Image[off+3])<<24
-			if in, err := isa.Decode(isa.Word(w)); err == nil && in.Op == isa.OpSkm {
-				if gap > g.maxCommitGap {
-					g.maxCommitGap = gap
-				}
-				gap = 0
+		if slot := int(pc-mem.CodeBase) / isa.InstBytes; slot >= 0 && slot < len(skm) && skm[slot] {
+			if gap > g.maxCommitGap {
+				g.maxCommitGap = gap
 			}
+			gap = 0
 		}
 	}
 	if gap > g.maxCommitGap {
@@ -242,7 +245,20 @@ func hazardWindow(r wncheck.Region, pc uint32) bool {
 
 // CrossValidate runs the certificate's contract against the device. The
 // certificate must describe t.Image (hashes are checked).
+//
+// The selected kills run on the same trunk/fork walk as RunLockstep: one
+// trunk executes the policy run once, each kill forks it, and a fork that
+// re-converges with the trunk takes the uninterrupted run's outcome
+// without executing its suffix. The input-word advance is applied to the
+// fork right after its forced failure. A policy that cannot fork gets one
+// run from reset per kill instead; the report is identical either way.
 func CrossValidate(t Target, cfg CrossConfig, cert *wncheck.Certificate) (*CrossReport, error) {
+	return crossValidate(t, cfg, cert, false)
+}
+
+// crossValidate is CrossValidate, resolving every kill with its own run
+// from reset when naive is set.
+func crossValidate(t Target, cfg CrossConfig, cert *wncheck.Certificate, naive bool) (*CrossReport, error) {
 	if cert == nil {
 		return nil, fmt.Errorf("crossvalidate: nil certificate")
 	}
@@ -302,43 +318,44 @@ func CrossValidate(t Target, cfg CrossConfig, cert *wncheck.Certificate) (*Cross
 		pc      uint32
 		flagged bool
 	}
-	var bounds []boundary
-	var cum uint64
+	flagged := make([]bool, len(world0.pcs))
+	nFlagged := 0
 	for i, pc := range world0.pcs {
-		b := boundary{cycle: cum, instr: uint64(i), pc: pc}
 		for _, fr := range cert.Flagged {
 			if hazardWindow(fr, pc) {
-				b.flagged = true
+				flagged[i] = true
+				nFlagged++
 				break
 			}
 		}
-		bounds = append(bounds, b)
-		cum += uint64(world0.costs[i])
 	}
 
-	selected := bounds
-	if cfg.MaxPoints > 0 && len(bounds) > cfg.MaxPoints {
-		// Keep every flagged-window boundary (they carry the witnesses),
-		// sample the certified remainder evenly.
-		var flagged, certified []boundary
-		for _, b := range bounds {
-			if b.flagged {
-				flagged = append(flagged, b)
-			} else {
-				certified = append(certified, b)
-			}
+	// Past MaxPoints, keep every flagged-window boundary (they carry the
+	// witnesses) and after them an even sample of the certified remainder:
+	// certified boundaries k*nCert/keep for k = 0..keep-1.
+	n, nCert := len(world0.pcs), len(world0.pcs)-nFlagged
+	sampled := cfg.MaxPoints > 0 && n > cfg.MaxPoints
+	keep := nCert
+	if sampled {
+		keep = min(max(cfg.MaxPoints-nFlagged, 0), nCert)
+	}
+	var selected, picks []boundary
+	var cum uint64
+	certIdx := 0
+	for i, pc := range world0.pcs {
+		b := boundary{cycle: cum, instr: uint64(i), pc: pc, flagged: flagged[i]}
+		cum += uint64(world0.costs[i])
+		switch {
+		case !sampled || b.flagged:
+			selected = append(selected, b)
+		case len(picks) < keep && certIdx == len(picks)*nCert/keep:
+			picks = append(picks, b)
 		}
-		selected = flagged
-		if keep := cfg.MaxPoints - len(flagged); keep > 0 && len(certified) > 0 {
-			if keep >= len(certified) {
-				selected = append(selected, certified...)
-			} else {
-				for i := 0; i < keep; i++ {
-					selected = append(selected, certified[i*len(certified)/keep])
-				}
-			}
+		if !b.flagged {
+			certIdx++
 		}
 	}
+	selected = append(selected, picks...)
 
 	var onKill func(*mem.Memory)
 	if len(cfg.InputWords) > 0 {
@@ -351,17 +368,54 @@ func CrossValidate(t Target, cfg CrossConfig, cert *wncheck.Certificate) (*Cross
 		}
 	}
 
-	for _, b := range selected {
-		got, err := runOnce(t, cfg.Config, b.cycle, cfg.Budget, nil, onKill)
+	// Resolve every selected kill on the shared trunk/fork walk (visited in
+	// ascending cycle order), then credit the outcomes in selection order.
+	type outcome struct {
+		div                  Divergence
+		diverged, unaffected bool
+	}
+	outs := make([]outcome, len(selected))
+	kills := make([]uint64, len(selected))
+	for i, b := range selected {
+		kills[i] = b.cycle
+	}
+	trunk, err := inject(t, cfg.Config, kills, world0.cycles, onKill, naive, func(i int, got *runResult) {
+		if got == nil {
+			outs[i].unaffected = true
+			return
+		}
+		outs[i].div, outs[i].diverged = crossDiff(selected[i].cycle, selected[i].instr, goldens, got, cfg.InputWords)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("crossvalidate: %s: %w", t.Name, err)
+	}
+	// A kill the walk left unaffected ends exactly as the uninterrupted
+	// policy run does: take that outcome from the trunk's own run to halt.
+	var (
+		base         Divergence
+		baseDiverged bool
+	)
+	if trunk != nil {
+		if err := trunk.runTo(noKill, cfg.Budget, nil); err != nil {
+			return nil, fmt.Errorf("crossvalidate: %s: uninterrupted run: %w", t.Name, err)
+		}
+		got, err := trunk.result(nil)
 		if err != nil {
-			return nil, fmt.Errorf("crossvalidate: %s: kill at cycle %d: %w", t.Name, b.cycle, err)
+			return nil, fmt.Errorf("crossvalidate: %s: uninterrupted run: %w", t.Name, err)
+		}
+		base, baseDiverged = crossDiff(0, 0, goldens, &got, cfg.InputWords)
+	}
+
+	for k, b := range selected {
+		div, diverged := outs[k].div, outs[k].diverged
+		if outs[k].unaffected {
+			div, diverged = base, baseDiverged
+			div.KillCycle, div.KillInstruction = b.cycle, b.instr
 		}
 		rep.Points++
 		if !b.flagged {
 			rep.CertifiedPoints++
 		}
-
-		div, diverged := crossDiff(b.cycle, b.instr, goldens, &got, cfg.InputWords)
 		if !diverged {
 			continue
 		}
@@ -397,20 +451,6 @@ func crossDiff(cycle, instr uint64, goldens [][]byte, got *runResult, inputWords
 		}
 	}
 	d := Divergence{KillCycle: cycle, KillInstruction: instr, Halted: true}
-	want := goldens[0]
-	first := true
-	for off := 0; off+4 <= len(want); off += 4 {
-		w := binary.LittleEndian.Uint32(want[off:])
-		g := binary.LittleEndian.Uint32(masked[off:])
-		if w == g {
-			continue
-		}
-		d.Words++
-		if first {
-			first = false
-			d.Addr = mem.DataBase + uint32(off)
-			d.Got, d.Want = g, w
-		}
-	}
+	wordDiff(&d, goldens[0], masked)
 	return d, true
 }

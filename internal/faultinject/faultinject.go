@@ -132,6 +132,12 @@ func (r *Report) String() string {
 // faults or cannot finish even uninterrupted); divergences are reported in
 // the Report, not as errors.
 func Run(t Target, cfg Config, sched Schedule) (*Report, error) {
+	return campaign(t, cfg, sched, true)
+}
+
+// campaign is Run (naive) or RunLockstep: the golden pass, then every
+// scheduled kill resolved through inject and diffed against golden.
+func campaign(t Target, cfg Config, sched Schedule, naive bool) (*Report, error) {
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("faultinject: Config.Policy is required")
 	}
@@ -141,15 +147,22 @@ func Run(t Target, cfg Config, sched Schedule) (*Report, error) {
 		return nil, err
 	}
 
-	for _, kill := range points {
+	kills := make([]uint64, len(points))
+	for i, kill := range points {
+		kills[i] = kill.cycle
 		rep.Schedule = append(rep.Schedule, kill.cycle)
-		got, err := runOnce(t, cfg, kill.cycle, cfg.Budget, nil, nil)
-		if err != nil {
-			return nil, fmt.Errorf("faultinject: %s: kill at cycle %d: %w", t.Name, kill.cycle, err)
+	}
+	// The schedule ascends, so both engines visit kills in report order.
+	_, err = inject(t, cfg, kills, golden.cycles, nil, naive, func(i int, got *runResult) {
+		if got == nil {
+			return // the uninterrupted run: golden by definition
 		}
-		if d, diverged := diff(kill, &golden, &got); diverged {
+		if d, diverged := diff(points[i], &golden, got); diverged {
 			rep.Divergences = append(rep.Divergences, d)
 		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("faultinject: %s: %w", t.Name, err)
 	}
 	return rep, nil
 }
@@ -159,7 +172,7 @@ func Run(t Target, cfg Config, sched Schedule) (*Report, error) {
 // out the kill schedule and the report header.
 func plan(t Target, cfg *Config, sched Schedule) (runResult, []killPoint, *Report, error) {
 	var costs []uint8
-	golden, err := runOnce(t, *cfg, noKill, cfg.goldenBudget(), &costs, nil)
+	golden, err := runOnce(t, *cfg, noKill, cfg.goldenBudget(), &costs, nil, nil)
 	if err == nil && !golden.halted {
 		err = errNoHalt(cfg.goldenBudget())
 	}
@@ -246,19 +259,32 @@ func diff(kill killPoint, golden, got *runResult) (Divergence, bool) {
 		return Divergence{}, false
 	}
 	d := Divergence{KillCycle: kill.cycle, KillInstruction: kill.instr, Halted: true}
-	first := true
-	for off := 0; off+4 <= len(golden.data); off += 4 {
-		w := binary.LittleEndian.Uint32(golden.data[off:])
-		g := binary.LittleEndian.Uint32(got.data[off:])
-		if w == g {
+	wordDiff(&d, golden.data, got.data)
+	return d, d.Words > 0
+}
+
+// wordDiff records in d how many 32-bit words of the NV data image got
+// differ from want, and the first of them. Equal stretches are skipped a
+// block at a time, so the cost follows the extent of the difference more
+// than the size of the region.
+func wordDiff(d *Divergence, want, got []byte) {
+	const block = 256
+	for lo := 0; lo < len(want); lo += block {
+		hi := min(lo+block, len(want))
+		if bytes.Equal(want[lo:hi], got[lo:hi]) {
 			continue
 		}
-		d.Words++
-		if first {
-			first = false
-			d.Addr = mem.DataBase + uint32(off)
-			d.Got, d.Want = g, w
+		for off := lo; off+4 <= hi; off += 4 {
+			w := binary.LittleEndian.Uint32(want[off:])
+			g := binary.LittleEndian.Uint32(got[off:])
+			if w == g {
+				continue
+			}
+			if d.Words == 0 {
+				d.Addr = mem.DataBase + uint32(off)
+				d.Got, d.Want = g, w
+			}
+			d.Words++
 		}
 	}
-	return d, d.Words > 0
 }

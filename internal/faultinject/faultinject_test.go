@@ -35,6 +35,8 @@ func policyFactory(name string) func() intermittent.Policy {
 		return func() intermittent.Policy { return intermittent.NewUndoLog(intermittent.DefaultUndoLogConfig()) }
 	case "naive":
 		return func() intermittent.Policy { return intermittent.NewNaive(intermittent.DefaultNaiveConfig()) }
+	case "restart":
+		return func() intermittent.Policy { return intermittent.NewRestart(intermittent.DefaultRestartConfig()) }
 	}
 	panic("unknown policy " + name)
 }
@@ -75,7 +77,9 @@ func TestSeededHazardsFlaggedAndWitnessed(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
+		tc := tc
 		t.Run(tc.file, func(t *testing.T) {
+			t.Parallel()
 			p := loadProgram(t, tc.file)
 
 			res, err := wncheck.Check(p, wncheck.Options{Crash: true})

@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"fmt"
+	"sort"
 
 	"whatsnext/internal/cpu"
 	"whatsnext/internal/energy"
@@ -37,25 +38,47 @@ import (
 //     cycle drift — run to halt and are diffed like any naive injected run.
 //
 // The fallback is total: a policy that does not implement
-// intermittent.ForkablePolicy and intermittent.ReplayDistancer routes the
-// whole campaign through Run. Reports are identical to Run's in every
-// field either way.
+// intermittent.ForkablePolicy and intermittent.ReplayDistancer runs one
+// injected run per kill point, exactly as Run does. Reports are identical
+// to Run's in every field either way.
 func RunLockstep(t Target, cfg Config, sched Schedule) (*Report, error) {
-	if cfg.Policy == nil {
-		return nil, fmt.Errorf("faultinject: Config.Policy is required")
-	}
-	if p := cfg.Policy(); !forkable(p) {
-		return Run(t, cfg, sched)
-	}
-	normalize(&cfg)
-	golden, points, rep, err := plan(t, &cfg, sched)
-	if err != nil {
-		return nil, err
+	return campaign(t, cfg, sched, false)
+}
+
+// inject resolves the injected run for each of kills (pure CPU cycles, in
+// any order), calling visit once per kill with its index and outcome. A
+// nil outcome means the run provably ends exactly as the uninterrupted
+// policy run does; visit must not keep the outcome's data, whose buffer
+// the next run reuses. onKill, when non-nil, runs on the device's memory right
+// after each forced failure.
+//
+// With naive set, or when the policy cannot fork, every kill gets its own
+// run from reset (runOnce) and visit sees kills in the given order.
+// Otherwise one dirty-tracked trunk walks the kills in ascending cycle
+// order and each is resolved on a fork of it; the trunk is returned,
+// stopped at the last kill, for a caller that needs the uninterrupted
+// outcome the nil results stand for. goldenCycles is the uninterrupted
+// run's length, which bounds the forks' convergence shortcut.
+func inject(t Target, cfg Config, kills []uint64, goldenCycles uint64, onKill func(*mem.Memory), naive bool,
+	visit func(i int, got *runResult)) (*device, error) {
+	var buf []byte // NV data of the last finished run, reused by the next
+	if naive || !forkable(cfg.Policy()) {
+		for i, kill := range kills {
+			got, err := runOnce(t, cfg, kill, cfg.Budget, nil, onKill, buf)
+			if err != nil {
+				return nil, fmt.Errorf("kill at cycle %d: %w", kill, err)
+			}
+			if got.data != nil {
+				buf = got.data
+			}
+			visit(i, &got)
+		}
+		return nil, nil
 	}
 
 	trunk, err := newDevice(t, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("faultinject: %s: trunk: %w", t.Name, err)
+		return nil, fmt.Errorf("trunk: %w", err)
 	}
 	// Dirty-extent tracking turns per-kill-point fork costs from
 	// O(memory size) into O(bytes touched): the first fork deep-copies,
@@ -63,17 +86,22 @@ func RunLockstep(t Target, cfg Config, sched Schedule) (*Report, error) {
 	// only what either side wrote since the previous sync.
 	trunk.m.SetDirtyTracking(true)
 	trunk.tracked = true
+	order := make([]int, len(kills))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return kills[order[a]] < kills[order[b]] })
 	var spare *device
-	for _, kill := range points {
-		rep.Schedule = append(rep.Schedule, kill.cycle)
+	for _, i := range order {
+		kill := kills[i]
 		// Advance the trunk to the first instruction boundary at or past
 		// the kill cycle — exactly where runOnce would force the failure.
-		if err := trunk.runTo(kill.cycle, cfg.Budget, nil); err != nil {
-			return nil, fmt.Errorf("faultinject: %s: kill at cycle %d: %w", t.Name, kill.cycle, err)
+		if err := trunk.runTo(kill, cfg.Budget, nil); err != nil {
+			return nil, fmt.Errorf("kill at cycle %d: %w", kill, err)
 		}
-		if trunk.c.Halted {
-			// The boundary at/past this kill cycle is the HALT retirement:
-			// runOnce never injects and the run trivially matches golden.
+		if trunk.c.Halted || trunk.cycles > cfg.Budget {
+			// runOnce never injects here: the run is the uninterrupted one.
+			visit(i, nil)
 			continue
 		}
 		var (
@@ -87,21 +115,19 @@ func RunLockstep(t Target, cfg Config, sched Schedule) (*Report, error) {
 			child, ok = trunk.forkInto(spare)
 		}
 		if !ok {
-			return nil, fmt.Errorf("faultinject: %s: policy %s lost forkability mid-run", t.Name, rep.Policy)
+			return nil, fmt.Errorf("policy %s lost forkability mid-run", trunk.policy.Name())
 		}
 		spare = child
-		got, err := child.finish(trunk, golden.cycles, cfg.Budget)
+		got, err := child.finish(trunk, goldenCycles, cfg.Budget, onKill, buf)
 		if err != nil {
-			return nil, fmt.Errorf("faultinject: %s: kill at cycle %d: %w", t.Name, kill.cycle, err)
+			return nil, fmt.Errorf("kill at cycle %d: %w", kill, err)
 		}
-		if got == nil {
-			continue // re-converged: clean by construction
+		if got != nil && got.data != nil {
+			buf = got.data
 		}
-		if d, diverged := diff(kill, &golden, got); diverged {
-			rep.Divergences = append(rep.Divergences, d)
-		}
+		visit(i, got)
 	}
-	return rep, nil
+	return trunk, nil
 }
 
 // forkable reports whether the policy supports trunk forking and replay
@@ -122,18 +148,24 @@ func normalize(cfg *Config) {
 	}
 }
 
-// finish applies the forced failure to a freshly forked child and resolves
-// its outcome. It returns nil when the child provably re-converges with
-// the trunk (final memory identical to golden — clean), or the child's
-// full run result for the caller to diff.
-func (d *device) finish(trunk *device, goldenCycles, budget uint64) (*runResult, error) {
+// finish applies the forced failure (then onKill, if any) to a freshly
+// forked child and resolves its outcome. It returns nil when the child
+// provably re-converges with the trunk (final memory identical to the
+// uninterrupted run's), or the child's full run result for the caller to
+// diff, its NV data in buf when buf is large enough.
+func (d *device) finish(trunk *device, goldenCycles, budget uint64, onKill func(*mem.Memory), buf []byte) (*runResult, error) {
 	dist := d.policy.(intermittent.ReplayDistancer).ReplayDistance()
 	d.r.ForceFailure()
 
-	// The convergence shortcut is only sound comfortably inside the budget:
-	// near the line, whether the re-executed run halts before exceeding it
-	// depends on sub-window boundaries, so defer to a full run.
-	if goldenCycles+dist+cpu.MaxInstrCycles <= budget {
+	if onKill != nil {
+		// The fork's input words now differ from the trunk's, so it can
+		// never re-converge: skip the probe and run it straight to halt.
+		onKill(d.m)
+	} else if goldenCycles+dist+cpu.MaxInstrCycles <= budget {
+		// The convergence shortcut is only sound comfortably inside the
+		// budget: near the line, whether the re-executed run halts before
+		// exceeding it depends on sub-window boundaries, so defer to a
+		// full run.
 		target := d.cycles + dist
 		if err := d.runTo(target, budget, nil); err != nil {
 			return nil, err
@@ -145,7 +177,7 @@ func (d *device) finish(trunk *device, goldenCycles, budget uint64) (*runResult,
 	if err := d.runTo(noKill, budget, nil); err != nil {
 		return nil, err
 	}
-	res, err := d.result()
+	res, err := d.result(buf)
 	if err != nil {
 		return nil, err
 	}

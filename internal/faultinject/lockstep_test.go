@@ -5,19 +5,23 @@ import (
 	"testing"
 
 	"whatsnext/internal/asm"
+	"whatsnext/internal/compiler"
 	"whatsnext/internal/faultinject"
+	"whatsnext/internal/nn"
+	"whatsnext/internal/workloads"
 )
 
 // TestLockstepMatchesRun is the lockstep engine's contract: for every
 // corpus program — hazard-seeded and clean — under every runtime policy,
 // RunLockstep produces a Report identical in every field to the naive
 // one-run-per-kill-point campaign, including the exact divergence list
-// (kill cycles, first differing words, values).
+// (kill cycles, first differing words, values). The progress-embedded NN
+// build is the one Restart stays clean on.
 func TestLockstepMatchesRun(t *testing.T) {
 	cases := []struct {
-		name  string
-		prog  func(t *testing.T) *asm.Program
-		sched faultinject.Schedule
+		name   string
+		target func(t *testing.T) faultinject.Target
+		sched  faultinject.Schedule
 	}{
 		{"repeated_input", fromFile("repeated_input.s"), faultinject.Schedule{Exhaustive: true, MaxPoints: 256}},
 		{"war_crossblock", fromFile("war_crossblock.s"), faultinject.Schedule{Exhaustive: true, MaxPoints: 256}},
@@ -27,12 +31,14 @@ func TestLockstepMatchesRun(t *testing.T) {
 		{"skim_stale_reg", fromFile("skim_stale_reg.s"), faultinject.Schedule{Exhaustive: true}},
 		{"clean_accum", fromSource(cleanAccum), faultinject.Schedule{Exhaustive: true}},
 		{"clean_strided", fromSource(cleanAccum), faultinject.Schedule{Points: 13}},
+		{"nnconv_embed", nnConvEmbed, faultinject.Schedule{Exhaustive: true, MaxPoints: 160}},
 	}
 	for _, tc := range cases {
+		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			p := tc.prog(t)
-			target := faultinject.FromProgram(tc.name, p)
-			for _, rt := range []string{"clank", "nvp", "undolog", "naive"} {
+			t.Parallel()
+			target := tc.target(t)
+			for _, rt := range []string{"clank", "nvp", "undolog", "naive", "restart"} {
 				cfg := faultinject.Config{Policy: policyFactory(rt)}
 				want, err := faultinject.Run(target, cfg, tc.sched)
 				if err != nil {
@@ -50,27 +56,48 @@ func TestLockstepMatchesRun(t *testing.T) {
 	}
 }
 
-func fromFile(file string) func(t *testing.T) *asm.Program {
-	return func(t *testing.T) *asm.Program { return loadProgram(t, file) }
+func fromFile(file string) func(t *testing.T) faultinject.Target {
+	return func(t *testing.T) faultinject.Target {
+		return faultinject.FromProgram(file, loadProgram(t, file))
+	}
 }
 
-func fromSource(src string) func(t *testing.T) *asm.Program {
-	return func(t *testing.T) *asm.Program {
+func fromSource(src string) func(t *testing.T) faultinject.Target {
+	return func(t *testing.T) faultinject.Target {
 		t.Helper()
-		p, err := asm.Assemble(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
+		return faultinject.FromProgram("source", assemble(t, src))
 	}
+}
+
+func assemble(t *testing.T, src string) *asm.Program {
+	t.Helper()
+	p, err := asm.Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// nnConvTiny shrinks the NN convolution to a quick injection target.
+var nnConvTiny = workloads.Params{ImgW: 6, ImgH: 5, K: 3}
+
+// nnConvEmbed is a progress-embedded NN convolution: it resumes by
+// rescanning its committed outputs, so it stays clean even under Restart.
+func nnConvEmbed(t *testing.T) faultinject.Target {
+	t.Helper()
+	b, p := nn.NNConv(), nnConvTiny
+	c, err := compiler.Compile(b.Build(p, 8, true), compiler.Options{Mode: compiler.ModePrecise, ProgressEmbed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return faultinject.FromCompiled(b.Name, c, b.Inputs(p, 1))
 }
 
 // TestLockstepTightBudget pins the budget-line behavior: with a budget too
 // small for any re-execution, both engines must report the same
 // lost-forward-progress divergences.
 func TestLockstepTightBudget(t *testing.T) {
-	p := fromSource(cleanAccum)(t)
-	target := faultinject.FromProgram("clean_accum", p)
+	target := faultinject.FromProgram("clean_accum", assemble(t, cleanAccum))
 	for _, rt := range []string{"clank", "nvp", "naive"} {
 		var costs0 uint64
 		{

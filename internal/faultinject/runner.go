@@ -79,6 +79,8 @@ type device struct {
 	// (the lockstep trunk and its forks), allowing windowed re-sync and
 	// convergence compares instead of full-region ones.
 	tracked bool
+
+	costs []cpu.Cost // per-window cost buffer, reused across runTo calls
 }
 
 // newDevice builds a fresh device for the target. The supply exists only
@@ -123,7 +125,11 @@ func (d *device) forkInto(spare *device) (*device, bool) {
 	spare.m.CopyDirty(d.m, ext)
 	spare.m.ResetDirty()
 	d.m.ResetDirty()
-	return d.forkOnto(spare.m)
+	n, ok := d.forkOnto(spare.m)
+	if ok {
+		n.costs = spare.costs
+	}
+	return n, ok
 }
 
 // forkOnto builds the CPU/runner/policy fork on an already-synced memory.
@@ -145,10 +151,7 @@ func (d *device) forkOnto(m *mem.Memory) (*device, bool) {
 // pick, and NV-data stores are routed through Step so BeforeStore hooks
 // (Clank's violation checkpoints, the undo log) retain full fidelity.
 func (d *device) runTo(stop, budget uint64, collect *[]uint8) error {
-	var (
-		forceStep bool
-		costs     []cpu.Cost
-	)
+	var forceStep bool
 	stepOnce := func() error {
 		cost, err := d.c.Step()
 		if err != nil {
@@ -196,13 +199,13 @@ func (d *device) runTo(stop, budget uint64, collect *[]uint8) error {
 		if win > maxWindow {
 			win = maxWindow
 		}
-		costs = costs[:0]
-		res, err := d.c.Run(win, &costs)
-		for _, cost := range costs {
+		d.costs = d.costs[:0]
+		res, err := d.c.Run(win, &d.costs)
+		for _, cost := range d.costs {
 			d.policy.AfterStep(cost)
 		}
 		if collect != nil {
-			for _, cost := range costs {
+			for _, cost := range d.costs {
 				*collect = append(*collect, uint8(cost.Cycles))
 			}
 		}
@@ -216,13 +219,18 @@ func (d *device) runTo(stop, budget uint64, collect *[]uint8) error {
 	return nil
 }
 
-// result snapshots the observable outcome of a finished run.
-func (d *device) result() (runResult, error) {
+// result snapshots the observable outcome of a finished run. The NV data
+// goes into buf when it is large enough, else into a fresh slice.
+func (d *device) result(buf []byte) (runResult, error) {
 	if !d.c.Halted {
 		return runResult{halted: false, cycles: d.cycles, instrs: d.instrs}, nil
 	}
 	out := runResult{halted: true, cycles: d.cycles, instrs: d.instrs}
-	out.data = make([]byte, d.cfg.Mem.DataBytes)
+	if n := d.cfg.Mem.DataBytes; cap(buf) >= n {
+		out.data = buf[:n]
+	} else {
+		out.data = make([]byte, n)
+	}
 	if err := d.m.ReadData(mem.DataBase, out.data); err != nil {
 		return runResult{}, err
 	}
@@ -235,8 +243,9 @@ func (d *device) result() (runResult, error) {
 // caller the golden run's boundary schedule. When onKill is non-nil it runs
 // right after the forced failure/restore round trip — CrossValidate uses it
 // to advance input locations, modeling an external world that moved on
-// while the device was dark.
-func runOnce(t Target, cfg Config, killCycle, budget uint64, collect *[]uint8, onKill func(*mem.Memory)) (runResult, error) {
+// while the device was dark. The final NV data goes into buf when it is
+// large enough.
+func runOnce(t Target, cfg Config, killCycle, budget uint64, collect *[]uint8, onKill func(*mem.Memory), buf []byte) (runResult, error) {
 	d, err := newDevice(t, cfg)
 	if err != nil {
 		return runResult{}, err
@@ -255,5 +264,5 @@ func runOnce(t Target, cfg Config, killCycle, budget uint64, collect *[]uint8, o
 	if err := d.runTo(noKill, budget, collect); err != nil {
 		return runResult{}, err
 	}
-	return d.result()
+	return d.result(buf)
 }

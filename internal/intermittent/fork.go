@@ -23,9 +23,11 @@ type ForkablePolicy interface {
 // ReplayDistancer reports how much re-execution an outage at the current
 // instruction boundary costs, in pure CPU cycles (the sum of Cost.Cycles
 // since the instruction the restore path resumes at). Checkpointing
-// policies return the distance back to their live checkpoint; an in-place
-// resume (NVP) returns 0. The lockstep injector uses it to bound how far a
-// forked run must execute before it can be compared against the trunk.
+// policies return the distance back to their live checkpoint, a reboot
+// from the entry point (Restart) the distance back to the run start or
+// the last restore, and an in-place resume (NVP) 0. The lockstep injector
+// uses it to bound how far a forked run must execute before it can be
+// compared against the trunk.
 type ReplayDistancer interface {
 	ReplayDistance() uint64
 }
@@ -111,3 +113,17 @@ func (u *UndoLog) Fork(r *Runner) Policy {
 
 // ReplayDistance implements ReplayDistancer.
 func (u *UndoLog) ReplayDistance() uint64 { return u.sinceCheckpoint }
+
+// Fork implements ForkablePolicy: Restart keeps only counters, so a struct
+// copy suffices; it installs no store hook.
+func (p *Restart) Fork(r *Runner) Policy {
+	n := *p
+	n.r = r
+	r.CPU.BeforeStore = nil
+	return &n
+}
+
+// ReplayDistance implements ReplayDistancer: a restore reboots from the
+// entry point, replaying everything since the run started or the last
+// restore.
+func (p *Restart) ReplayDistance() uint64 { return p.sinceRestore }

@@ -21,12 +21,15 @@ func DefaultRestartConfig() RestartConfig { return RestartConfig{RestoreCycles: 
 // diverges (re-accumulating completed passes), which the negative tests
 // witness.
 //
-// Restart deliberately does not implement ForkablePolicy/ReplayDistancer:
-// the replay distance after a restart is the full prefix, so lockstep
-// campaigns route through the naive engine.
+// Restart implements ForkablePolicy/ReplayDistancer, so lockstep
+// campaigns share their prefix on one trunk. Its replay distance is the
+// whole run since start or the last restore: a rebooted fork rarely
+// re-converges with the trunk and usually runs to halt.
 type Restart struct {
 	cfg RestartConfig
 	r   *Runner
+
+	sinceRestore uint64 // pure CPU cycles since run start or the last restore
 
 	Restores uint64
 }
@@ -47,8 +50,12 @@ func (p *Restart) Attach(r *Runner) { p.r = r }
 // executor may run arbitrarily far.
 func (p *Restart) BatchHorizon() (uint64, float64) { return 1 << 62, 0 }
 
-// AfterStep implements Policy: no per-instruction overhead.
-func (p *Restart) AfterStep(cpu.Cost) (uint32, float64) { return 0, 0 }
+// AfterStep implements Policy: no per-instruction overhead; it only
+// counts the cycles a restore would replay.
+func (p *Restart) AfterStep(cost cpu.Cost) (uint32, float64) {
+	p.sinceRestore += uint64(cost.Cycles)
+	return 0, 0
+}
 
 // OnOutage implements Policy: volatile state is destroyed.
 func (p *Restart) OnOutage() {
@@ -61,6 +68,7 @@ func (p *Restart) OnOutage() {
 // could consume it.
 func (p *Restart) OnRestore() (uint32, float64) {
 	p.r.CPU.Reset()
+	p.sinceRestore = 0
 	p.Restores++
 	return p.cfg.RestoreCycles, 0
 }

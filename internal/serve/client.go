@@ -109,12 +109,7 @@ func sleep(ctx context.Context, d time.Duration) error {
 // reconstructs the Run closures from its resolver registry, so experiments
 // outside that registry fail with the server's 400 message.
 func (c *Client) Run(jobs []sweep.Job) ([]json.RawMessage, error) {
-	return c.RunContext(context.Background(), jobs)
-}
-
-// RunContext is Run with cancellation: the submission, the retry waits and
-// the stream all abort when ctx ends.
-func (c *Client) RunContext(ctx context.Context, jobs []sweep.Job) ([]json.RawMessage, error) {
+	ctx := context.Background()
 	if len(jobs) == 0 {
 		return nil, nil
 	}
