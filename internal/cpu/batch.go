@@ -1,13 +1,11 @@
 package cpu
 
 import (
-	"fmt"
-
 	"whatsnext/internal/isa"
 	"whatsnext/internal/mem"
 )
 
-// StopReason tells why RunUntil returned control to the caller.
+// StopReason tells why Run returned control to the caller.
 type StopReason int
 
 const (
@@ -27,7 +25,7 @@ const (
 	StopFault
 )
 
-// BatchResult summarizes one RunUntil window.
+// BatchResult summarizes one Run window.
 type BatchResult struct {
 	Cycles       uint64
 	Instructions uint64
@@ -36,31 +34,36 @@ type BatchResult struct {
 
 // MaxInstrCycles bounds the cycle cost of any single instruction (the
 // 16-cycle iterative multiply; taken branches cost BaseCycles+1 ≤ 3).
-// Batch schedulers use it to size safety slack: RunUntil stops at the first
+// Batch schedulers use it to size safety slack: Run stops at the first
 // instruction that reaches its budget, so it overshoots by less than this.
 const MaxInstrCycles = 16
 
-// RunUntil is the batched fast path: it executes instructions in a tight
-// loop — no per-step call overhead — until the accumulated cycle count
-// reaches budget, the program halts or faults, an SKM arms the skim
-// register, or (when a BeforeStore hook is installed) the next instruction
-// would store into the non-volatile data region. Architectural state,
-// Stats, and memory evolve exactly as under repeated Step calls; when costs
-// is non-nil every instruction's Cost is appended so the caller can replay
-// energy accounting per instruction.
+// Run is the batched executor: it executes instructions until the
+// accumulated cycle count reaches budget, the program halts or faults, an
+// SKM arms the skim register, or (when a BeforeStore hook is installed) the
+// next instruction would store into the non-volatile data region.
+// Architectural state, Stats, and memory evolve exactly as under repeated
+// Step calls, and a window overshoots its budget by at most
+// MaxInstrCycles-1 cycles. When costs is non-nil every instruction's Cost
+// is appended so the caller can replay energy accounting per instruction.
 //
-// The hook contract differs from Step by design: RunUntil never calls
+// The hook contract differs from Step by design: Run never calls
 // BeforeStore. It returns StopStore *before* the store executes, and the
 // caller runs that one instruction through Step. Stores outside the NV data
 // region execute inline without the hook — the runtimes in
 // internal/intermittent only act on NV-data stores, so runtime-visible
 // behavior is identical.
-// The interpreter switch below mirrors (*CPU).execute case for case. It is
-// duplicated rather than shared because the call overhead of execute is the
-// single largest per-instruction cost once decode is cached; the
-// differential tests in internal/cpu and internal/experiments pin the two
-// paths to identical architectural state, Stats, and cycle counts.
-func (c *CPU) RunUntil(budget uint64, costs *[]Cost) (BatchResult, error) {
+//
+// Execution is block mode wherever possible: when the run starting at PC
+// (see slot) fits the remaining budget in the worst case, its closures
+// execute back to back and the run is charged in O(1), with its OpCount
+// deferred to the window's end. A store that faults or needs the hook ends
+// the block early; the executed prefix is charged exactly as Step would
+// have charged it. Everything else — budget tails, HALT, SKM, PC operands,
+// undecodable slots, and memoized multiplies while costs are recorded (their
+// cycles are data-dependent) — takes the per-instruction path through
+// execute, the same code Step runs.
+func (c *CPU) Run(budget uint64, costs *[]Cost) (BatchResult, error) {
 	var res BatchResult
 	if c.Halted {
 		res.Reason = StopHalt
@@ -70,265 +73,195 @@ func (c *CPU) RunUntil(budget uint64, costs *[]Cost) (BatchResult, error) {
 		res.Reason = StopFault
 		return res, err
 	}
+	img := c.img
+	if len(c.runs) != len(img.slots) {
+		c.runs = make([]uint64, len(img.slots))
+		c.dirty = c.dirty[:0]
+	}
+	c.hookSpan = 0
+	if c.BeforeStore != nil {
+		c.hookSpan = uint32(c.Mem.Config().DataBytes)
+	}
 
 	var (
-		cache = c.decodeCache
-		hook  = c.BeforeStore != nil
-		memo  = c.Memo != nil
+		slots = img.slots
 		m     = c.Mem
 		regs  = &c.Regs
-		// Cycle and instruction counts accumulate in scalar locals (so they
-		// stay in registers through the loop) and flush to res and c.Stats
-		// at the single exit below; OpCount and AmenableOps update in place.
+		// With costs recorded, memoized multiplies run one at a time.
+		stepMul = costs != nil && c.Memo != nil
+		// Cycle and instruction counts accumulate in scalar locals and flush
+		// to res and c.Stats at the single exit below.
 		cycAcc, instrAcc, amenAcc uint64
 		reason                    = StopBudget
 		fault                     error
-		dataEnd                   = mem.DataBase + uint32(m.Config().DataBytes)
 	)
 
-	// pc mirrors regs[isa.PC] in a local: the register-file slot is still
-	// stored every instruction (programs may read PC as an operand), but the
-	// loop never reloads it.
+	// pc mirrors regs[isa.PC] in a local; the register-file slot is stored
+	// at every instruction or block boundary.
 	pc := regs[isa.PC]
 	for cycAcc < budget {
-		slot := (pc - mem.CodeBase) / isa.InstBytes
-		if pc%isa.InstBytes != 0 || slot >= uint32(len(cache)) {
-			// Out of code memory or misaligned: decodeAt builds the precise
-			// fault message.
+		idx := (pc - mem.CodeBase) / isa.InstBytes
+		if pc%isa.InstBytes != 0 || idx >= uint32(len(slots)) {
+			// Out of the decoded image or misaligned: decodeAt builds the
+			// precise fault message.
 			_, fault = c.decodeAt(pc)
 			reason = StopFault
 			break
 		}
-		d := cache[slot]
-		in := d.in
-		op := in.Op
-		if !op.Valid() {
-			_, fault = c.decodeAt(pc)
-			reason = StopFault
-			break
-		}
-		if hook && op.IsStore() {
-			if addr := c.effAddr(in); addr >= mem.DataBase && addr < dataEnd {
+		s := &slots[idx]
+
+		if s.instrs == 0 || cycAcc+uint64(s.worst) > budget || (stepMul && s.hasMul) {
+			// Per-instruction path.
+			in := s.in
+			if !in.Op.Valid() {
+				_, fault = c.decodeAt(pc)
+				reason = StopFault
+				break
+			}
+			if in.Op.IsStore() && c.effAddr(in)-mem.DataBase < c.hookSpan {
 				reason = StopStore
 				break
 			}
+			if s.amen {
+				amenAcc++
+			}
+			nv := m.NVWrites
+			nextPC, cycles, err := c.execute(in, pc, false)
+			if err != nil {
+				reason = StopFault
+				fault = err
+				break
+			}
+			regs[isa.PC] = nextPC
+			pc = nextPC
+			c.Stats.OpCount[in.Op]++
+			cycAcc += uint64(cycles)
+			instrAcc++
+			if costs != nil {
+				cost := Cost{Cycles: cycles, NVWrites: int(m.NVWrites - nv)}
+				if in.Op == isa.OpSkm {
+					cost.NVWrites++ // the skim register is non-volatile
+				}
+				*costs = append(*costs, cost)
+			}
+			if in.Op == isa.OpHalt {
+				reason = StopHalt
+				break
+			}
+			if in.Op == isa.OpSkm {
+				reason = StopSkim
+				break
+			}
+			continue
 		}
-		if d.amen {
-			amenAcc++
-		}
 
-		var nvBefore uint64
-		if costs != nil {
-			nvBefore = m.NVWrites
-		}
-
-		cycles := d.cycles
-		nextPC := pc + isa.InstBytes
-		var err error
-
-		switch op {
-		case isa.OpNop:
-		case isa.OpHalt:
-			c.Halted = true
-			nextPC = pc
-
-		case isa.OpMov:
-			regs[in.Rd] = regs[in.Rm]
-		case isa.OpMovI:
-			regs[in.Rd] = uint32(in.Imm)
-		case isa.OpMovTI:
-			regs[in.Rd] = regs[in.Rd]&0xFFFF | uint32(in.Imm)<<16
-
-		case isa.OpAdd:
-			regs[in.Rd] = regs[in.Rn] + regs[in.Rm]
-		case isa.OpAddI:
-			regs[in.Rd] = regs[in.Rn] + uint32(in.Imm)
-		case isa.OpSub:
-			regs[in.Rd] = regs[in.Rn] - regs[in.Rm]
-		case isa.OpSubI:
-			regs[in.Rd] = regs[in.Rn] - uint32(in.Imm)
-		case isa.OpAnd:
-			regs[in.Rd] = regs[in.Rn] & regs[in.Rm]
-		case isa.OpAndI:
-			regs[in.Rd] = regs[in.Rn] & uint32(in.Imm)
-		case isa.OpOrr:
-			regs[in.Rd] = regs[in.Rn] | regs[in.Rm]
-		case isa.OpOrrI:
-			regs[in.Rd] = regs[in.Rn] | uint32(in.Imm)
-		case isa.OpEor:
-			regs[in.Rd] = regs[in.Rn] ^ regs[in.Rm]
-		case isa.OpEorI:
-			regs[in.Rd] = regs[in.Rn] ^ uint32(in.Imm)
-		case isa.OpLsl:
-			regs[in.Rd] = shiftL(regs[in.Rn], regs[in.Rm])
-		case isa.OpLslI:
-			regs[in.Rd] = shiftL(regs[in.Rn], uint32(in.Imm))
-		case isa.OpLsr:
-			regs[in.Rd] = shiftR(regs[in.Rn], regs[in.Rm])
-		case isa.OpLsrI:
-			regs[in.Rd] = shiftR(regs[in.Rn], uint32(in.Imm))
-		case isa.OpAsr:
-			regs[in.Rd] = shiftAR(regs[in.Rn], regs[in.Rm])
-		case isa.OpAsrI:
-			regs[in.Rd] = shiftAR(regs[in.Rn], uint32(in.Imm))
-
-		case isa.OpCmp:
-			c.setFlagsSub(regs[in.Rn], regs[in.Rm])
-		case isa.OpCmpI:
-			c.setFlagsSub(regs[in.Rn], uint32(in.Imm))
-		case isa.OpSubIS:
-			a := regs[in.Rn]
-			c.setFlagsSub(a, uint32(in.Imm))
-			regs[in.Rd] = a - uint32(in.Imm)
-
-		case isa.OpMul:
-			a, b := regs[in.Rn], regs[in.Rm]
-			prod := a * b
-			if memo {
-				var fast bool
-				prod, fast = c.mulWithMemo(a, b)
-				if fast {
-					cycles = 1
+		// Block mode: run the closures of the run starting at idx back to
+		// back — and while its terminator branches back to its own head and
+		// the next pass still fits, iterate without re-entering the gates.
+		startPC, body := pc, img.body[idx:s.end]
+		var iters uint64
+		base, stop := 0, -1
+		for {
+			if costs != nil {
+				base = len(*costs)
+				*costs = append(*costs, img.costs[idx:s.end]...)
+				if s.hasStore {
+					c.nvRec, c.nvBase = (*costs)[base:], idx
 				}
 			}
-			regs[in.Rd] = prod
-
-		case isa.OpMulASP1, isa.OpMulASP2, isa.OpMulASP3, isa.OpMulASP4, isa.OpMulASP8:
-			bits := op.ASPBits()
-			a, b := regs[in.Rd], regs[in.Rm]
-			prod := a * b
-			if memo {
-				var fast bool
-				prod, fast = c.mulWithMemo(a, b)
-				if fast {
-					cycles = 1
+			c.blockAdj = 0
+			for i, f := range body {
+				if !f(c) {
+					stop = i
+					break
 				}
 			}
-			regs[in.Rd] = shiftL(prod, uint32(bits)*uint32(in.Imm))
-
-		case isa.OpAddASV4, isa.OpAddASV8, isa.OpAddASV16:
-			regs[in.Rd] = AddASV(regs[in.Rd], regs[in.Rm], op.ASVLane())
-		case isa.OpSubASV4, isa.OpSubASV8, isa.OpSubASV16:
-			regs[in.Rd] = SubASV(regs[in.Rd], regs[in.Rm], op.ASVLane())
-
-		case isa.OpLdr, isa.OpLdrX:
-			addr := regs[in.Rn] + uint32(in.Imm)
-			if op == isa.OpLdrX {
-				addr = regs[in.Rn] + regs[in.Rm]
+			if stop >= 0 {
+				break
 			}
-			if v, ok := m.TryLoadWord(addr); ok {
-				regs[in.Rd] = v
-			} else if v, lerr := m.LoadWord(addr); lerr != nil {
-				err = lerr
+			cycAcc += uint64(s.runCycles) - c.blockAdj
+			iters++
+			if s.term != nil {
+				nextPC, cycles := s.term(c)
+				cycAcc += uint64(cycles)
+				if costs != nil {
+					*costs = append(*costs, Cost{Cycles: cycles})
+				}
+				pc = nextPC
 			} else {
-				regs[in.Rd] = v
+				pc = mem.CodeBase + s.end*isa.InstBytes
 			}
-		case isa.OpLdrh, isa.OpLdrhX:
-			addr := regs[in.Rn] + uint32(in.Imm)
-			if op == isa.OpLdrhX {
-				addr = regs[in.Rn] + regs[in.Rm]
+			if pc != startPC || cycAcc+uint64(s.worst) > budget {
+				break
 			}
-			if v, ok := m.TryLoadHalf(addr); ok {
-				regs[in.Rd] = v
-			} else if v, lerr := m.LoadHalf(addr); lerr != nil {
-				err = lerr
-			} else {
-				regs[in.Rd] = v
-			}
-		case isa.OpLdrb, isa.OpLdrbX:
-			addr := regs[in.Rn] + uint32(in.Imm)
-			if op == isa.OpLdrbX {
-				addr = regs[in.Rn] + regs[in.Rm]
-			}
-			if v, ok := m.TryLoadByte(addr); ok {
-				regs[in.Rd] = v
-			} else if v, lerr := m.LoadByte(addr); lerr != nil {
-				err = lerr
-			} else {
-				regs[in.Rd] = v
-			}
-
-		case isa.OpStr, isa.OpStrX:
-			addr := regs[in.Rn] + uint32(in.Imm)
-			if op == isa.OpStrX {
-				addr = regs[in.Rn] + regs[in.Rm]
-			}
-			if !m.TryStoreWord(addr, regs[in.Rd]) {
-				err = m.StoreWord(addr, regs[in.Rd])
-			}
-		case isa.OpStrh, isa.OpStrhX:
-			addr := regs[in.Rn] + uint32(in.Imm)
-			if op == isa.OpStrhX {
-				addr = regs[in.Rn] + regs[in.Rm]
-			}
-			if !m.TryStoreHalf(addr, regs[in.Rd]) {
-				err = m.StoreHalf(addr, regs[in.Rd])
-			}
-		case isa.OpStrb, isa.OpStrbX:
-			addr := regs[in.Rn] + uint32(in.Imm)
-			if op == isa.OpStrbX {
-				addr = regs[in.Rn] + regs[in.Rm]
-			}
-			if !m.TryStoreByte(addr, regs[in.Rd]) {
-				err = m.StoreByte(addr, regs[in.Rd])
-			}
-
-		case isa.OpB:
-			nextPC = pc + uint32(in.Imm)
-		case isa.OpBl:
-			regs[isa.LR] = pc + isa.InstBytes
-			nextPC = pc + uint32(in.Imm)
-		case isa.OpBx:
-			nextPC = regs[in.Rm]
-		case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge, isa.OpBgt, isa.OpBle, isa.OpBlo, isa.OpBhs:
-			if c.condTrue(op) {
-				nextPC = pc + uint32(in.Imm)
-				cycles++ // pipeline refill on a taken branch
-			}
-
-		case isa.OpSkm:
-			c.SkimTarget = uint32(in.Imm)
-			c.SkimArmed = true
-			// nv accounting below covers the skim register's NV write.
-
-		default:
-			err = fmt.Errorf("cpu: unimplemented opcode %s at %#08x", op.Name(), pc)
 		}
-		if err != nil {
-			reason = StopFault
-			fault = err
+		c.nvRec = nil
+		if iters > 0 {
+			if c.runs[idx] == 0 {
+				c.dirty = append(c.dirty, idx)
+			}
+			c.runs[idx] += iters
+		}
+
+		if stop >= 0 {
+			// Closure stop at body index stop: charge the executed prefix
+			// exactly as Step would have (the aggregates are suffix sums),
+			// and park PC on the stopping instruction.
+			at := idx + uint32(stop)
+			for i := idx; i < at; i++ {
+				c.Stats.OpCount[slots[i].in.Op]++
+			}
+			cycAcc += uint64(s.runCycles-slots[at].runCycles) - c.blockAdj
+			instrAcc += uint64(stop)
+			amenAcc += uint64(s.runAmen - slots[at].runAmen)
+			if costs != nil {
+				*costs = (*costs)[:base+stop]
+			}
+			pc = startPC + uint32(stop)*isa.InstBytes
+			regs[isa.PC] = pc
+			if c.blockErr == errNVStore {
+				reason = StopStore
+			} else {
+				// Step tallies the amenable mark before executing.
+				if slots[at].amen {
+					amenAcc++
+				}
+				reason = StopFault
+				fault = c.blockErr
+			}
+			c.blockErr = nil
 			break
 		}
-		regs[isa.PC] = nextPC
-		pc = nextPC
-
-		c.Stats.OpCount[op]++
-		cycAcc += uint64(cycles)
-		instrAcc++
-		if costs != nil {
-			nv := int(m.NVWrites - nvBefore)
-			if op == isa.OpSkm {
-				nv++ // the skim register is non-volatile
-			}
-			*costs = append(*costs, Cost{Cycles: cycles, NVWrites: nv})
-		}
-
-		// Only OpHalt sets c.Halted inside the loop, so an opcode compare
-		// (already in a register) replaces the flag load.
-		if op == isa.OpHalt {
-			reason = StopHalt
-			break
-		}
-		if op == isa.OpSkm {
-			reason = StopSkim
-			break
-		}
+		regs[isa.PC] = pc
 	}
+
+	instrs, amen := c.flushRuns()
 	res.Cycles = cycAcc
-	res.Instructions = instrAcc
+	res.Instructions = instrAcc + instrs
 	res.Reason = reason
 	c.Stats.Cycles += cycAcc
-	c.Stats.Instructions += instrAcc
-	c.Stats.AmenableOps += amenAcc
+	c.Stats.Instructions += instrAcc + instrs
+	c.Stats.AmenableOps += amenAcc + amen
 	return res, fault
+}
+
+// flushRuns applies the window's deferred block tallies to Stats.OpCount,
+// clears them, and returns the instructions and amenable marks they cover.
+func (c *CPU) flushRuns() (instrs, amen uint64) {
+	slots := c.img.slots
+	for _, idx := range c.dirty {
+		n := c.runs[idx]
+		c.runs[idx] = 0
+		s := &slots[idx]
+		for i := idx; i < s.end; i++ {
+			c.Stats.OpCount[slots[i].in.Op] += n
+		}
+		if s.term != nil {
+			c.Stats.OpCount[slots[s.end].in.Op] += n
+		}
+		instrs += uint64(s.instrs) * n
+		amen += uint64(s.runAmen) * n
+	}
+	c.dirty = c.dirty[:0]
+	return instrs, amen
 }

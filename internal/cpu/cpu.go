@@ -34,8 +34,8 @@ type Stats struct {
 
 // CPU is the simulated core. It executes decoded instructions against a
 // Memory under the M0+ cost model. The intermittent runtimes drive it
-// through Step (one instruction, full hook fidelity) or RunUntil (the
-// batched fast path), paying the returned Cost into the energy supply.
+// through Step (one instruction, full hook fidelity) or Run (the batched
+// executor), paying the returned Cost into the energy supply.
 type CPU struct {
 	Regs [isa.NumRegs]uint32
 	// Condition flags, set only by CMP/CMPI.
@@ -56,39 +56,37 @@ type CPU struct {
 
 	// BeforeStore, when non-nil, runs before every data store with the
 	// target address and size. The Clank runtime uses it to checkpoint
-	// ahead of idempotency-violating writes. The batched RunUntil path
-	// never invokes it: it stops ahead of any store into the non-volatile
-	// data region instead, so the caller can take the slow per-step path
-	// around exactly those stores.
+	// ahead of idempotency-violating writes. Only Step invokes it: Run
+	// returns StopStore ahead of any store into the non-volatile data
+	// region instead, so the caller takes the per-step path around exactly
+	// those stores.
 	BeforeStore func(addr uint32, size int)
 
 	Stats Stats
 
 	// amenable marks WN-amenable instruction slots as a bitset indexed by
-	// (PC-CodeBase)/InstBytes — a single shifted load per executed
-	// instruction instead of a map probe.
+	// (PC-CodeBase)/InstBytes. The decode cache copies it into its slots.
 	amenable []uint64
 
-	decodeCache []decoded     // lazily built per program image
-	decodeErrs  map[int]error // slot -> original isa.Decode failure
-	trans       *translation  // lazily built superblock translation
-	sbErr       error         // fault raised inside a superblock closure
-	sbAdj       uint64        // memo fast-hit cycle discount within one block
-	// Deferred superblock accounting: sbRuns[slot] counts completed
-	// executions of the block starting at slot within the current window;
-	// sbDirty lists the touched slots. Both flush into Stats at every
-	// window exit, so per-block bookkeeping inside the hot loop is O(1).
-	// Per-CPU (not on the shared translation) so forked cores never race.
-	sbRuns  []uint64
-	sbDirty []uint32
-}
+	img *image // lazily built per program image; shared by forks
 
-// decoded is one predecoded instruction slot: the decoded form plus its
-// base cycle cost, so the hot loop never re-derives either.
-type decoded struct {
-	in     isa.Instruction
-	cycles uint32
-	amen   bool // slot carries the compiler's amenable mark
+	// Block-mode scratch, per CPU so forked cores never race on the shared
+	// image. runs[slot] counts completed executions of the run starting at
+	// slot within the current window and dirty lists the touched slots;
+	// both flush into Stats when Run returns, so the hot loop pays O(1) per
+	// block.
+	runs  []uint64
+	dirty []uint32
+	// hookSpan is the NV data region's size while a BeforeStore hook is
+	// installed and 0 otherwise: a store closure stops the block when
+	// addr-DataBase < hookSpan.
+	hookSpan uint32
+	blockErr error  // fault (or errNVStore) raised inside a closure
+	blockAdj uint64 // memo fast-hit cycle discount within one block
+	// nvRec, while a block records costs, holds the block's cost records
+	// (nvRec[0] is slot nvBase's): store closures record their NV-write delta.
+	nvRec  []Cost
+	nvBase uint32
 }
 
 // New builds a CPU over the given memory with PC at the code base.
@@ -142,12 +140,10 @@ func (c *CPU) PowerLoss() {
 }
 
 // InvalidateDecodeCache drops the cached decode of code memory (and with it
-// the superblock translation, which is derived from it). Call after loading
-// a new program image.
+// the block-mode closures, which are derived from it). Call after loading a
+// new program image.
 func (c *CPU) InvalidateDecodeCache() {
-	c.decodeCache = nil
-	c.decodeErrs = nil
-	c.trans = nil
+	c.img = nil
 }
 
 // SetAmenablePCs installs the instruction addresses the WN compiler marked
@@ -166,13 +162,9 @@ func (c *CPU) SetAmenablePCs(pcs []uint32) {
 			}
 		}
 	}
-	// The decode cache mirrors the bitset per slot so the batched loop pays
-	// one flag test instead of a shifted bitset probe; re-annotate if built.
-	for i := range c.decodeCache {
-		c.decodeCache[i].amen = c.amenableAt(mem.CodeBase + uint32(i*isa.InstBytes))
-	}
-	// Superblock aggregates bake the amenable counts in; rebuild lazily.
-	c.trans = nil
+	// The decode cache bakes the marks into its slots and run aggregates;
+	// rebuild it lazily (never in place: forks may share it).
+	c.img = nil
 }
 
 // amenableAt reports whether pc carries the compiler's amenable mark. The
@@ -186,14 +178,13 @@ func (c *CPU) amenableAt(pc uint32) bool {
 	return int(w) < len(c.amenable) && c.amenable[w]&(1<<(slot&63)) != 0
 }
 
-// ensureDecodeCache predecodes the loaded program image once. Undecodable
-// words get an invalid-opcode sentinel, with the original decode failure
-// kept in decodeErrs so a later fault reports the cause. Only the program
-// image is decoded and cached — code memory past it is zeroed by
+// ensureDecodeCache predecodes the loaded program image once, together with
+// the block-mode closures and run aggregates derived from it (see image).
+// Only the program image is decoded — code memory past it is zeroed by
 // LoadProgram, and decodeAt recovers the zero word's decode error lazily if
 // execution ever falls off the program's end.
 func (c *CPU) ensureDecodeCache() error {
-	if c.decodeCache != nil {
+	if c.img != nil {
 		return nil
 	}
 	n := c.Mem.Config().CodeBytes / isa.InstBytes
@@ -201,27 +192,15 @@ func (c *CPU) ensureDecodeCache() error {
 	if prog > n {
 		prog = n
 	}
-	cache := make([]decoded, prog)
-	errs := make(map[int]error)
-	for i := 0; i < prog; i++ {
+	words := make([]uint32, prog)
+	for i := range words {
 		w, err := c.Mem.FetchWord(mem.CodeBase + uint32(i*isa.InstBytes))
 		if err != nil {
 			return err
 		}
-		in, err := isa.Decode(isa.Word(w))
-		if err != nil {
-			// Executing this slot faults with err as the cause.
-			cache[i] = decoded{in: isa.Instruction{Op: isa.Opcode(0xFF)}}
-			errs[i] = err
-			continue
-		}
-		cache[i] = decoded{
-			in:     in,
-			cycles: in.Op.BaseCycles(),
-			amen:   c.amenableAt(mem.CodeBase + uint32(i*isa.InstBytes)),
-		}
+		words[i] = w
 	}
-	c.decodeCache, c.decodeErrs = cache, errs
+	c.img = newImage(words, c.amenableAt)
 	return nil
 }
 
@@ -236,7 +215,7 @@ func (c *CPU) decodeAt(pc uint32) (isa.Instruction, error) {
 		return isa.Instruction{}, fmt.Errorf("cpu: PC %#08x outside code memory", pc)
 	}
 	idx := int(pc-mem.CodeBase) / isa.InstBytes
-	if idx >= len(c.decodeCache) {
+	if idx >= len(c.img.slots) {
 		// Past the decoded program image: decode the raw word (zeroed by
 		// LoadProgram unless the program wrote over it) so the fault names
 		// the real cause.
@@ -247,9 +226,9 @@ func (c *CPU) decodeAt(pc uint32) (isa.Instruction, error) {
 		}
 		return isa.Instruction{}, fmt.Errorf("cpu: illegal instruction at %#08x", pc)
 	}
-	in := c.decodeCache[idx].in
+	in := c.img.slots[idx].in
 	if !in.Op.Valid() {
-		if derr := c.decodeErrs[idx]; derr != nil {
+		if derr := c.img.errs[idx]; derr != nil {
 			return isa.Instruction{}, fmt.Errorf("cpu: illegal instruction at %#08x: %v", pc, derr)
 		}
 		return isa.Instruction{}, fmt.Errorf("cpu: illegal instruction at %#08x", pc)
@@ -323,11 +302,11 @@ func (c *CPU) Step() (Cost, error) {
 }
 
 // execute interprets one decoded instruction at pc and returns the next PC
-// and the cycle cost. It does not advance PC or update Stats — Step and the
-// batched RunUntil share it and layer their own bookkeeping on top.
-// callHook gates the BeforeStore callback: Step passes true; RunUntil
-// passes false because it already stopped ahead of any store the hook needs
-// to observe.
+// and the cycle cost. It does not advance PC or update Stats — Step and
+// Run's per-instruction path share it and layer their own bookkeeping on
+// top. callHook gates the BeforeStore callback: Step passes true; Run passes
+// false because it already stopped ahead of any store the hook needs to
+// observe.
 func (c *CPU) execute(in isa.Instruction, pc uint32, callHook bool) (uint32, uint32, error) {
 	cycles := in.Op.BaseCycles()
 	nextPC := pc + isa.InstBytes
@@ -517,4 +496,37 @@ func shiftAR(v, by uint32) uint32 {
 		by = 31
 	}
 	return uint32(int32(v) >> by)
+}
+
+// Fork clones the core onto a forked memory for lockstep fault injection:
+// architectural state (registers, flags, halt, skim) and Stats copy; the
+// amenable bitset and the decode cache with its closures and run aggregates
+// are shared — they are immutable once built and depend only on the program
+// image, so a thousand forked children pay decoding exactly once.
+//
+// The BeforeStore hook is deliberately NOT carried over: it closes over the
+// parent's runtime, and the forked runtime must reinstall its own. The memo
+// table, when present, forks as a fresh empty table of the same size — the
+// fork point is always followed by a power failure, which invalidates the
+// (volatile) memo contents anyway.
+func (c *CPU) Fork(m *mem.Memory) *CPU {
+	n := &CPU{
+		Regs:       c.Regs,
+		N:          c.N,
+		Z:          c.Z,
+		C:          c.C,
+		V:          c.V,
+		Mem:        m,
+		Halted:     c.Halted,
+		SkimTarget: c.SkimTarget,
+		SkimArmed:  c.SkimArmed,
+		Stats:      c.Stats,
+
+		amenable: c.amenable,
+		img:      c.img,
+	}
+	if c.Memo != nil {
+		n.Memo = NewSizedMemoTable(c.Memo.Entries())
+	}
+	return n
 }

@@ -81,25 +81,17 @@ func BenchmarkMemoLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkSuperLoop measures the superblock translation backend over the
-// same program as BenchmarkStepLoop: fused closures with zero per-instruction
-// dispatch, deoptimizing to RunUntil only at block boundaries it cannot fuse.
-func BenchmarkSuperLoop(b *testing.B) {
-	p, err := asm.Assemble(benchProgram)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := mem.New(mem.DefaultConfig())
-	if err := m.LoadProgram(p.Image); err != nil {
-		b.Fatal(err)
-	}
-	c := New(m)
+// BenchmarkStepLoop measures the batched executor over the same program as
+// BenchmarkStep: one Run call per full program execution instead of a Step
+// call per instruction.
+func BenchmarkStepLoop(b *testing.B) {
+	c := benchCPU(b)
 	b.ResetTimer()
 	var instrs uint64
 	for i := 0; i < b.N; i++ {
 		c.Reset()
 		for !c.Halted {
-			res, err := c.RunSuper(1<<62, nil)
+			res, err := c.Run(1<<62, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -109,10 +101,30 @@ func BenchmarkSuperLoop(b *testing.B) {
 	b.ReportMetric(float64(instrs)/float64(b.N), "instructions/op")
 }
 
-// BenchmarkStepLoop measures the batched fast path over the same program as
-// BenchmarkStep: one RunUntil call per full program execution instead of a
-// Step call per instruction.
-func BenchmarkStepLoop(b *testing.B) {
+// BenchmarkRunCosts measures Run the way the intermittent runner and the
+// fault injector drive it: the same program in 2000-cycle windows with a
+// per-instruction cost slice, reused across windows.
+func BenchmarkRunCosts(b *testing.B) {
+	c := benchCPU(b)
+	costs := make([]Cost, 0, 2048)
+	b.ResetTimer()
+	var instrs uint64
+	for i := 0; i < b.N; i++ {
+		c.Reset()
+		for !c.Halted {
+			costs = costs[:0]
+			res, err := c.Run(2000, &costs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			instrs += res.Instructions
+		}
+	}
+	b.ReportMetric(float64(instrs)/float64(b.N), "instructions/op")
+}
+
+// benchCPU loads benchProgram onto a fresh device.
+func benchCPU(b *testing.B) *CPU {
 	p, err := asm.Assemble(benchProgram)
 	if err != nil {
 		b.Fatal(err)
@@ -121,18 +133,5 @@ func BenchmarkStepLoop(b *testing.B) {
 	if err := m.LoadProgram(p.Image); err != nil {
 		b.Fatal(err)
 	}
-	c := New(m)
-	b.ResetTimer()
-	var instrs uint64
-	for i := 0; i < b.N; i++ {
-		c.Reset()
-		for !c.Halted {
-			res, err := c.RunUntil(1<<62, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			instrs += res.Instructions
-		}
-	}
-	b.ReportMetric(float64(instrs)/float64(b.N), "instructions/op")
+	return New(m)
 }

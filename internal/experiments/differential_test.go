@@ -21,7 +21,7 @@ func dataImage(t *testing.T, m *mem.Memory) []byte {
 
 // TestBatchedContinuousMatchesReference runs every Table I kernel's precise
 // build to halt twice — once per-instruction through Step, once through the
-// batched RunUntil path — and requires identical final data memory, CPU
+// batched executor Run — and requires identical final data memory, CPU
 // statistics, and cycle counts.
 func TestBatchedContinuousMatchesReference(t *testing.T) {
 	for _, b := range workloads.All() {
@@ -54,7 +54,7 @@ func TestBatchedContinuousMatchesReference(t *testing.T) {
 			batCPU.SetAmenablePCs(c.Program.Amenable)
 			var batCycles uint64
 			for !batCPU.Halted {
-				res, err := batCPU.RunUntil(1<<62, nil)
+				res, err := batCPU.Run(1<<62, nil)
 				if err != nil {
 					t.Fatalf("batched fault: %v", err)
 				}

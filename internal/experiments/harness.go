@@ -191,7 +191,7 @@ type contResult struct {
 
 // runContinuous executes the program under uninterrupted power through the
 // batched executor. Windows are sized to the next observable boundary — a
-// quality sample or the cycle budget — and RunUntil stops at the first
+// quality sample or the cycle budget — and cpu.Run stops at the first
 // instruction that crosses it (and at every SKM), so samples, skim stops,
 // and budget stops land on exactly the instruction boundaries the
 // per-instruction reference loop would produce.

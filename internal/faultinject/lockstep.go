@@ -23,7 +23,7 @@ import (
 //   - Prefix sharing: one trunk device executes the golden path once. At
 //     each kill boundary (visited in ascending order) the trunk is forked —
 //     memory is deep-copied, the CPU shares the trunk's decode cache and
-//     superblock translation, and the policy state (checkpoint, undo log)
+//     block-mode closures, and the policy state (checkpoint, undo log)
 //     is duplicated — and the forced failure/restore round trip is applied
 //     to the fork only.
 //

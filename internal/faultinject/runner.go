@@ -105,7 +105,7 @@ func newDevice(t Target, cfg Config) (*device, error) {
 }
 
 // fork clones the device at its current instruction boundary: memory is
-// deep-copied, the CPU shares the decode cache and superblock translation
+// deep-copied, the CPU shares the decode cache and its block-mode closures
 // with the trunk, and the policy is duplicated via ForkablePolicy. Returns
 // false when the policy cannot fork.
 func (d *device) fork() (*device, bool) {
@@ -144,11 +144,11 @@ func (d *device) forkOnto(m *mem.Memory) (*device, bool) {
 }
 
 // runTo advances the device until it halts, reaches the first instruction
-// boundary at or past stop (pure CPU cycles), or crosses budget. The loop
-// mirrors the batched executor in internal/intermittent: windows are
-// bounded by the policy's horizon so overhead charges (watchdog
+// boundary at or past stop (pure CPU cycles), or crosses budget. Like the
+// batched runner in internal/intermittent, it drives cpu.Run in windows
+// bounded by the policy's horizon, so overhead charges (watchdog
 // checkpoints) land on the exact instruction the reference path would
-// pick, and NV-data stores are routed through Step so BeforeStore hooks
+// pick, and routes NV-data stores through Step so BeforeStore hooks
 // (Clank's violation checkpoints, the undo log) retain full fidelity.
 func (d *device) runTo(stop, budget uint64, collect *[]uint8) error {
 	var forceStep bool

@@ -137,7 +137,7 @@ func (r *Runner) ForceFailure() {
 //
 // Unless Reference is set or an OnProgress callback needs per-instruction
 // granularity, execution goes through the batched fast path: the CPU runs
-// uninterrupted windows via RunUntil sized so that no checkpoint, brown-out,
+// uninterrupted windows via cpu.Run sized so that no checkpoint, brown-out,
 // or cycle-budget event can fall strictly inside a window, and the recorded
 // per-instruction costs are replayed through the policy and supply in
 // reference order. Results are byte-identical to the reference loop.
@@ -209,7 +209,7 @@ func (r *Runner) runReference() (Result, error) {
 }
 
 // Batched-executor window sizing. batchSlack keeps a window clear of the
-// brown-out threshold: RunUntil overshoots its budget by less than
+// brown-out threshold: cpu.Run overshoots its budget by less than
 // cpu.MaxInstrCycles, and the first replayed AfterStep may surface one
 // pending checkpoint (~40 cycles plus 17 NV-word writes) accrued just
 // before the window. 64 cycles of worst-case drain covers both with
@@ -220,7 +220,7 @@ const (
 	minBatch   = 96
 )
 
-// runBatched drives the CPU through RunUntil windows and replays the
+// runBatched drives the CPU through cpu.Run windows and replays the
 // recorded per-instruction costs through Policy.AfterStep and Supply.Spend
 // in exactly the reference order, so every energy draw, harvest charge,
 // checkpoint, and outage lands on the same instruction boundary with the

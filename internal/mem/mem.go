@@ -287,14 +287,6 @@ func (m *Memory) StateEqual(o *Memory) bool {
 	return bytes.Equal(m.code, o.code) && bytes.Equal(m.data, o.data) && bytes.Equal(m.sram, o.sram)
 }
 
-// ProgramImage returns a copy of the loaded program image (the progLen-byte
-// prefix of code memory). The CPU's translation backend hands it to
-// wncheck.ImageCFG so superblock extents come from the same CFG the static
-// verifier reasons about.
-func (m *Memory) ProgramImage() []byte {
-	return append([]byte(nil), m.code[:m.progLen]...)
-}
-
 // SetTracking enables or disables read/write-set tracking. The Clank runtime
 // enables it; the NVP runtime leaves it off. The shadow arrays (one epoch
 // stamp per data word) are allocated on first enable, so untracked devices —

@@ -22,31 +22,25 @@ go build -o "$workdir/wnbench" ./cmd/wnbench
 "$workdir/wnserved" -addr 127.0.0.1:0 -quiet >"$workdir/serve.out" 2>&1 &
 server_pid=$!
 
-# Wait for the port announcement against a wall-clock deadline, failing
-# fast — with the server log — the moment the process dies instead of
-# polling out the full timeout against a corpse.
-wait_for_url() { # pid logfile prefix -> echoes URL
-    local pid=$1 logfile=$2 prefix=$3 deadline url
-    deadline=$(($(date +%s) + 10))
-    while [ "$(date +%s)" -lt "$deadline" ]; do
-        url=$(sed -n "s/^${prefix}: listening on //p" "$logfile")
-        if [ -n "$url" ]; then
-            echo "$url"
-            return 0
-        fi
-        if ! kill -0 "$pid" 2>/dev/null; then
-            echo "smoke: $prefix exited before announcing its port" >&2
-            cat "$logfile" >&2
-            return 1
-        fi
-        sleep 0.1
-    done
-    echo "smoke: $prefix never announced its port within 10s" >&2
-    cat "$logfile" >&2
-    return 1
-}
-
-url=$(wait_for_url "$server_pid" "$workdir/serve.out" wnserved)
+# Wait for the port announcement against a 10 s wall-clock deadline,
+# failing fast — with the server log — the moment the process dies instead
+# of polling out the full timeout against a corpse.
+deadline=$(($(date +%s) + 10))
+while :; do
+    url=$(sed -n 's/^wnserved: listening on //p' "$workdir/serve.out")
+    [ -n "$url" ] && break
+    if ! kill -0 "$server_pid" 2>/dev/null; then
+        echo "serve-smoke: wnserved exited before announcing its port" >&2
+        cat "$workdir/serve.out" >&2
+        exit 1
+    fi
+    if [ "$(date +%s)" -ge "$deadline" ]; then
+        echo "serve-smoke: wnserved never announced its port within 10s" >&2
+        cat "$workdir/serve.out" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
 echo "serve-smoke: server at $url"
 
 curl -sf "$url/healthz" >/dev/null
