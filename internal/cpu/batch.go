@@ -45,7 +45,8 @@ const MaxInstrCycles = 16
 // Architectural state, Stats, and memory evolve exactly as under repeated
 // Step calls, and a window overshoots its budget by at most
 // MaxInstrCycles-1 cycles. When costs is non-nil every instruction's Cost
-// is appended so the caller can replay energy accounting per instruction.
+// is appended so the caller can settle energy accounting in instruction
+// order.
 //
 // The hook contract differs from Step by design: Run never calls
 // BeforeStore. It returns StopStore *before* the store executes, and the

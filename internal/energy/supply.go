@@ -1,6 +1,10 @@
 package energy
 
-import "math"
+import (
+	"math"
+
+	"whatsnext/internal/cpu"
+)
 
 // DeviceConfig describes the electrical parameters of the simulated device.
 type DeviceConfig struct {
@@ -57,6 +61,11 @@ type Supply struct {
 	powered  bool
 	cycleSec float64 // seconds per cycle
 
+	// The trace sample in effect over elapsed cycles [sampleFrom,
+	// sampleTo), and its harvested power; see samplePowerAt.
+	sampleFrom, sampleTo uint64
+	samplePower          float64
+
 	// Totals.
 	CyclesOn      uint64 // cycles executed while powered
 	CyclesOff     uint64 // cycles spent waiting for charge
@@ -89,6 +98,9 @@ func (s *Supply) Voltage() float64 {
 	return math.Sqrt(2 * s.energy / s.cfg.CapacitanceF)
 }
 
+// Stored returns the joules currently stored in the capacitor.
+func (s *Supply) Stored() float64 { return s.energy }
+
 // Powered reports whether the device is currently on.
 func (s *Supply) Powered() bool { return s.powered }
 
@@ -105,21 +117,105 @@ func (s *Supply) Now() float64 {
 // TotalCycles returns elapsed wall-clock time in cycle units (on + off).
 func (s *Supply) TotalCycles() uint64 { return s.CyclesOn + s.CyclesOff }
 
-// harvestPower returns the harvested power at the current simulated time,
-// wrapping the trace.
-func (s *Supply) harvestPower() float64 {
+// sampleIndex returns the index, before wrapping, of the trace sample in
+// effect at elapsed cycle t. Every harvest lookup, cached or not,
+// evaluates this one formula.
+func (s *Supply) sampleIndex(t uint64) uint64 {
+	return uint64(float64(t) * s.cycleSec * s.trace.SampleHz)
+}
+
+// harvestPower returns the harvested power at elapsed cycle t, wrapping
+// the trace.
+func (s *Supply) harvestPower(t uint64) float64 {
 	if s.trace == nil || len(s.trace.Power) == 0 {
 		return 0
 	}
-	idx := uint64(s.Now() * s.trace.SampleHz)
-	return s.trace.Power[idx%uint64(len(s.trace.Power))] * s.cfg.HarvestEff
+	return s.trace.Power[s.sampleIndex(t)%uint64(len(s.trace.Power))] * s.cfg.HarvestEff
 }
 
-// charge adds harvested energy for n cycles of elapsed time.
-func (s *Supply) charge(n uint64) {
-	in := s.harvestPower() * float64(n) * s.cycleSec
-	s.EnergyCharged += in
-	s.energy = math.Min(s.maxE, s.energy+in)
+// samplePowerAt returns harvestPower(t) from the cached sample, refilling
+// the cache when t lies outside the cycle range it covers.
+func (s *Supply) samplePowerAt(t uint64) float64 {
+	if t-s.sampleFrom >= s.sampleTo-s.sampleFrom {
+		s.fillSample(t)
+	}
+	return s.samplePower
+}
+
+// fillSample caches the sample in effect at t together with the exact
+// range [t, end) of elapsed cycles over which sampleIndex stays constant.
+// sampleIndex is monotone in t, so the end is found by evaluating it
+// around an estimate of the next sample's first cycle; no rounding case
+// can therefore differ from a per-cycle lookup. Where no estimate is
+// usable (no trace, a degenerate rate, or an end beyond 2^62 cycles) the
+// range covers t alone, which is trivially exact.
+func (s *Supply) fillSample(t uint64) {
+	s.samplePower = s.harvestPower(t)
+	s.sampleFrom, s.sampleTo = t, t+1
+	if s.trace == nil || len(s.trace.Power) == 0 {
+		s.sampleTo = math.MaxUint64
+		return
+	}
+	k := s.sampleIndex(t)
+	est := float64(k+1) / (s.cycleSec * s.trace.SampleHz)
+	if !(est > 0 && est < 1<<62) {
+		return
+	}
+	end := max(uint64(est), t+1)
+	for end > t+1 && s.sampleIndex(end-1) > k {
+		end--
+	}
+	for s.sampleIndex(end) <= k {
+		end++
+	}
+	s.sampleTo = end
+}
+
+// ledger is the part of the supply's state one instruction's spend
+// updates. Spend and SpendRun both advance it through settle, so a run
+// performs exactly the floating-point operations of a loop of Spend calls.
+type ledger struct {
+	energy, charged, drawn float64
+	cyclesOn               uint64
+}
+
+func (s *Supply) ledger() ledger {
+	return ledger{s.energy, s.EnergyCharged, s.EnergyDrawn, s.CyclesOn}
+}
+
+func (s *Supply) store(l ledger) {
+	s.energy, s.EnergyCharged, s.EnergyDrawn, s.CyclesOn = l.energy, l.charged, l.drawn, l.cyclesOn
+}
+
+// charge adds n cycles of harvest at power p to a capacitor holding e
+// joules, clamped at its ceiling, and returns the new energy and the
+// joules harvested.
+func (s *Supply) charge(e, p float64, n uint64) (float64, float64) {
+	in := p * float64(n) * s.cycleSec
+	if e += in; e > s.maxE {
+		e = s.maxE
+	}
+	return e, in
+}
+
+// settle is one Spend's arithmetic: charge for cycles at power p, then
+// draw cycles*EnergyPerCycle+extra.
+func (s *Supply) settle(l ledger, p float64, cycles uint32, extra float64) ledger {
+	var in float64
+	l.energy, in = s.charge(l.energy, p, uint64(cycles))
+	l.charged += in
+	draw := float64(cycles)*s.cfg.EnergyPerCycle + extra
+	l.drawn += draw
+	l.energy -= draw
+	l.cyclesOn += uint64(cycles)
+	return l
+}
+
+// brownOut powers the device down after the capacitor crossed VOff.
+func (s *Supply) brownOut() {
+	s.energy = math.Max(s.energy, 0)
+	s.powered = false
+	s.Outages++
 }
 
 // Spend advances simulated time by cycles of execution, drawing
@@ -130,18 +226,42 @@ func (s *Supply) Spend(cycles uint32, extra float64) bool {
 	if !s.powered {
 		return false
 	}
-	s.charge(uint64(cycles))
-	draw := float64(cycles)*s.cfg.EnergyPerCycle + extra
-	s.EnergyDrawn += draw
-	s.energy -= draw
-	s.CyclesOn += uint64(cycles)
-	if s.energy <= s.offE {
-		s.energy = math.Max(s.energy, 0)
-		s.powered = false
-		s.Outages++
+	l := s.settle(s.ledger(), s.samplePowerAt(s.CyclesOn+s.CyclesOff), cycles, extra)
+	s.store(l)
+	if l.energy <= s.offE {
+		s.brownOut()
 		return false
 	}
 	return true
+}
+
+// SpendRun spends a run of executed instructions in order, each exactly as
+//
+//	Spend(c.Cycles, float64(c.NVWrites)*NVWriteEnergy + float64(c.Cycles)*backup*EnergyPerCycle)
+//
+// would, where backup is a per-cycle backup surcharge factor (NVP's; zero
+// for the checkpointing runtimes). It stops at the first brown-out: n
+// counts the costs spent, the one that browned out included, and ok is
+// false. The supply's totals stay in locals across the run; only a trace
+// sample boundary refills the harvest cache.
+func (s *Supply) SpendRun(costs []cpu.Cost, backup float64) (n int, ok bool) {
+	if !s.powered {
+		return 0, false
+	}
+	l := s.ledger()
+	off := s.CyclesOff
+	nvE, epc := s.cfg.NVWriteEnergy, s.cfg.EnergyPerCycle
+	for i, c := range costs {
+		extra := float64(c.NVWrites)*nvE + float64(c.Cycles)*backup*epc
+		l = s.settle(l, s.samplePowerAt(l.cyclesOn+off), c.Cycles, extra)
+		if l.energy <= s.offE {
+			s.store(l)
+			s.brownOut()
+			return i + 1, false
+		}
+	}
+	s.store(l)
+	return len(costs), true
 }
 
 // WaitForPower advances simulated time until the capacitor recharges to VOn,
@@ -151,17 +271,21 @@ func (s *Supply) WaitForPower() (waited uint64, ok bool) {
 	if s.powered {
 		return 0, true
 	}
+	// With no harvest at all the capacitor never recharges.
+	if s.trace == nil || len(s.trace.Power) == 0 {
+		return 0, false
+	}
 	// Step at one trace-sample granularity for fidelity to the 1 kHz trace.
+	// Each step lands in a new sample, so it reads the trace uncached.
 	step := uint64(s.cfg.ClockHz / s.trace.SampleHz)
 	if step == 0 {
 		step = 1
 	}
-	var limit uint64 = math.MaxUint64
-	if s.trace != nil && len(s.trace.Power) > 0 {
-		limit = uint64(10*s.trace.Duration()*s.cfg.ClockHz) + s.TotalCycles()
-	}
+	limit := uint64(10*s.trace.Duration()*s.cfg.ClockHz) + s.TotalCycles()
 	for s.energy < s.onE {
-		s.charge(step)
+		var in float64
+		s.energy, in = s.charge(s.energy, s.harvestPower(s.TotalCycles()), step)
+		s.EnergyCharged += in
 		s.CyclesOff += step
 		waited += step
 		if s.TotalCycles() > limit {

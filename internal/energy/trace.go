@@ -21,7 +21,9 @@ import (
 // Trace is a harvested-power trace: Power[i] is the instantaneous harvested
 // power (watts) during sample i, at SampleHz samples per second. The supply
 // wraps around when the trace is exhausted, so any finite trace models a
-// stationary environment.
+// stationary environment. Power values must be finite and non-negative:
+// harvesting never drains the capacitor, which is what lets the batched
+// runner rule out a brown-out inside a window (ReadCSV enforces this).
 type Trace struct {
 	SampleHz float64
 	Power    []float64
@@ -132,7 +134,10 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 }
 
 // ReadCSV parses a trace written by WriteCSV. The sample rate is inferred
-// from the first two timestamps.
+// from the first two timestamps, which must be finite and increasing.
+// Every power value must be finite and non-negative: a NaN sample would
+// poison the capacitor energy so the device never browns out, and the
+// supply model assumes harvesting never drains the capacitor.
 func ReadCSV(r io.Reader) (*Trace, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -143,18 +148,22 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("energy: trace CSV needs a header and at least two samples")
 	}
 	rows = rows[1:] // drop header
-	t0, err := strconv.ParseFloat(rows[0][0], 64)
-	if err != nil {
-		return nil, fmt.Errorf("energy: bad timestamp %q: %v", rows[0][0], err)
+	var ts [2]float64
+	for i := range ts {
+		if ts[i], err = strconv.ParseFloat(rows[i][0], 64); err != nil {
+			return nil, fmt.Errorf("energy: bad timestamp %q: %v", rows[i][0], err)
+		}
+		if math.IsInf(ts[i], 0) || math.IsNaN(ts[i]) {
+			return nil, fmt.Errorf("energy: non-finite timestamp %q", rows[i][0])
+		}
 	}
-	t1, err := strconv.ParseFloat(rows[1][0], 64)
-	if err != nil {
-		return nil, fmt.Errorf("energy: bad timestamp %q: %v", rows[1][0], err)
-	}
-	if t1 <= t0 {
+	if ts[1] <= ts[0] {
 		return nil, fmt.Errorf("energy: non-increasing timestamps in trace")
 	}
-	tr := &Trace{SampleHz: 1 / (t1 - t0)}
+	tr := &Trace{SampleHz: 1 / (ts[1] - ts[0])}
+	if math.IsInf(tr.SampleHz, 0) {
+		return nil, fmt.Errorf("energy: timestamps %q and %q are too close for a sample rate", rows[0][0], rows[1][0])
+	}
 	for i, row := range rows {
 		if len(row) < 2 {
 			return nil, fmt.Errorf("energy: row %d is short", i+2)
@@ -162,6 +171,12 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		p, err := strconv.ParseFloat(row[1], 64)
 		if err != nil {
 			return nil, fmt.Errorf("energy: bad power %q: %v", row[1], err)
+		}
+		if math.IsInf(p, 0) || math.IsNaN(p) {
+			return nil, fmt.Errorf("energy: row %d: non-finite power %q", i+2, row[1])
+		}
+		if p < 0 {
+			return nil, fmt.Errorf("energy: row %d: negative power %q", i+2, row[1])
 		}
 		tr.Power = append(tr.Power, p)
 	}

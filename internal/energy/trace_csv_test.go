@@ -92,6 +92,15 @@ func TestReadCSVMalformed(t *testing.T) {
 		{"equal timestamps", "time_s,power_w\n0.001,1e-4\n0.001,1e-4\n", "non-increasing"},
 		{"decreasing timestamps", "time_s,power_w\n0.002,1e-4\n0.001,1e-4\n", "non-increasing"},
 		{"bad power", "time_s,power_w\n0,1e-4\n0.001,oops\n", "bad power"},
+		// NaN power would make the capacitor energy NaN, which never
+		// crosses VOff: the device would never brown out.
+		{"NaN power", "time_s,power_w\n0,1e-4\n0.001,NaN\n", "row 3: non-finite power"},
+		{"infinite power", "time_s,power_w\n0,+Inf\n0.001,1e-4\n", "row 2: non-finite power"},
+		{"negative infinite power", "time_s,power_w\n0,1e-4\n0.001,-Inf\n", "non-finite power"},
+		{"negative power", "time_s,power_w\n0,1e-4\n0.001,-1e-4\n", "row 3: negative power"},
+		{"NaN timestamp", "time_s,power_w\n0,1e-4\nNaN,1e-4\n", "non-finite timestamp"},
+		{"infinite timestamp", "time_s,power_w\n-Inf,1e-4\n0.001,1e-4\n", "non-finite timestamp"},
+		{"timestamps too close", "time_s,power_w\n0,1e-4\n1e-310,1e-4\n", "too close"},
 		// A one-column header relaxes the csv reader's field-count check, so
 		// this reaches ReadCSV's own short-row guard.
 		{"short row", "time_s\n0\n0.001\n", "is short"},

@@ -77,8 +77,9 @@ func runSkimAblation(b *workloads.Benchmark, p workloads.Params) (SkimAblationRo
 		return SkimAblationRow{}, err
 	}
 
+	trace := wifiTrace(77)
 	run := func(c *compiler.Compiled) (uint64, []float64, error) {
-		sys := intermittentSystem(core.ProcClank, 77, false)
+		sys := intermittentSystem(core.ProcClank, trace, false)
 		if err := sys.Load(c); err != nil {
 			return 0, nil, err
 		}
@@ -471,8 +472,9 @@ func runConsistencyPoint(b *workloads.Benchmark, p workloads.Params, proc core.P
 	if err != nil {
 		return ConsistencyRow{}, err
 	}
+	trace := wifiTrace(33)
 	run := func(c *compiler.Compiled) (uint64, uint64, error) {
-		sys := intermittentSystem(proc, 33, false)
+		sys := intermittentSystem(proc, trace, false)
 		if err := sys.Load(c); err != nil {
 			return 0, 0, err
 		}

@@ -252,12 +252,18 @@ func preciseCycles(b *workloads.Benchmark, p workloads.Params, seed int64) (uint
 	return res.Cycles, nil
 }
 
-// intermittentSystem builds a powered device on a seeded synthetic Wi-Fi
-// trace for the given processor kind.
-func intermittentSystem(proc core.Processor, traceSeed int64, memo bool) *core.System {
+// wifiTrace generates the seeded synthetic Wi-Fi harvest trace the
+// intermittent studies run on. A trace is read-only once built, so the
+// systems of one study share it.
+func wifiTrace(seed int64) *energy.Trace {
+	return energy.SyntheticWiFiTrace(seed, energy.DefaultTraceConfig())
+}
+
+// intermittentSystem builds a powered device on a harvest trace for the
+// given processor kind.
+func intermittentSystem(proc core.Processor, trace *energy.Trace, memo bool) *core.System {
 	cfg := core.DefaultConfig()
 	cfg.Processor = proc
 	cfg.Memoization = memo
-	trace := energy.SyntheticWiFiTrace(traceSeed, energy.DefaultTraceConfig())
 	return core.NewSystem(cfg, trace)
 }

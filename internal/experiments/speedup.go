@@ -122,8 +122,9 @@ func runSpeedupCell(proc core.Processor, b *workloads.Benchmark, p workloads.Par
 	}
 	in := b.Inputs(p, inputSeed)
 	golden := b.Golden(p, in)
+	trace := wifiTrace(traceSeed)
 
-	wnSys := intermittentSystem(proc, traceSeed, false)
+	wnSys := intermittentSystem(proc, trace, false)
 	if err := wnSys.Load(wn); err != nil {
 		return speedupCell{}, err
 	}
@@ -136,7 +137,7 @@ func runSpeedupCell(proc core.Processor, b *workloads.Benchmark, p workloads.Par
 		return speedupCell{}, err
 	}
 
-	prSys := intermittentSystem(proc, traceSeed, false)
+	prSys := intermittentSystem(proc, trace, false)
 	if err := prSys.Load(precise); err != nil {
 		return speedupCell{}, err
 	}

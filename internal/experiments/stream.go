@@ -49,7 +49,7 @@ func StreamStudy(proto Protocol, arrivals int) ([]StreamRow, error) {
 		}
 		// Calibrate the arrival period from the precise build's wall
 		// completion time on a reference trace.
-		ref := intermittentSystem(core.ProcClank, 55, false)
+		ref := intermittentSystem(core.ProcClank, wifiTrace(55), false)
 		if err := ref.Load(precise); err != nil {
 			return nil, err
 		}

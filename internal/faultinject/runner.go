@@ -148,7 +148,8 @@ func (d *device) forkOnto(m *mem.Memory) (*device, bool) {
 // batched runner in internal/intermittent, it drives cpu.Run in windows
 // bounded by the policy's horizon, so overhead charges (watchdog
 // checkpoints) land on the exact instruction the reference path would
-// pick, and routes NV-data stores through Step so BeforeStore hooks
+// pick, advances the policy per window rather than per instruction, and
+// routes NV-data stores through Step so BeforeStore hooks
 // (Clank's violation checkpoints, the undo log) retain full fidelity.
 func (d *device) runTo(stop, budget uint64, collect *[]uint8) error {
 	var forceStep bool
@@ -177,7 +178,7 @@ func (d *device) runTo(stop, budget uint64, collect *[]uint8) error {
 			}
 			continue
 		}
-		horizon, _ := d.policy.BatchHorizon()
+		horizon := d.policy.BatchHorizon()
 		if horizon == 0 {
 			// A checkpoint is due at this exact boundary; take the
 			// per-step path so it observes the right state.
@@ -201,8 +202,13 @@ func (d *device) runTo(stop, budget uint64, collect *[]uint8) error {
 		}
 		d.costs = d.costs[:0]
 		res, err := d.c.Run(win, &d.costs)
-		for _, cost := range d.costs {
-			d.policy.AfterStep(cost)
+		// The window lies inside the policy's horizon, so only its last
+		// instruction can fire the watchdog: the ones before it just
+		// advance the policy's counters. (The overhead AfterStep returns
+		// is not charged here; the injector's supply never browns out.)
+		if n := len(d.costs); n > 0 {
+			d.policy.Advance(res.Cycles - uint64(d.costs[n-1].Cycles))
+			d.policy.AfterStep(d.costs[n-1])
 		}
 		if collect != nil {
 			for _, cost := range d.costs {

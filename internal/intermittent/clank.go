@@ -88,14 +88,19 @@ func (c *Clank) takeCheckpoint() {
 
 // BatchHorizon implements Policy: the batched executor may run until the
 // watchdog would fire (the checkpoint then lands on the window's final
-// instruction, exactly as in the reference loop). AfterStep charges no
-// per-cycle surcharge.
-func (c *Clank) BatchHorizon() (uint64, float64) {
+// instruction, exactly as in the reference loop).
+func (c *Clank) BatchHorizon() uint64 {
 	if c.sinceCheckpoint >= c.cfg.WatchdogCycles {
-		return 0, 0
+		return 0
 	}
-	return c.cfg.WatchdogCycles - c.sinceCheckpoint, 0
+	return c.cfg.WatchdogCycles - c.sinceCheckpoint
 }
+
+// Advance implements Policy.
+func (c *Clank) Advance(cycles uint64) { c.sinceCheckpoint += cycles }
+
+// BackupFactor implements Policy: Clank charges no per-cycle surcharge.
+func (c *Clank) BackupFactor() float64 { return 0 }
 
 // AfterStep implements Policy: it applies the watchdog and surfaces any
 // checkpoint overhead accrued during the instruction.

@@ -264,6 +264,55 @@ func TestOutOfPower(t *testing.T) {
 	}
 }
 
+// TestOutOfPowerWithoutTrace: a supply with no trace, or an empty one,
+// harvests nothing; the first brown-out must end the run with
+// ErrOutOfPower on both loops rather than panic or spin.
+func TestOutOfPowerWithoutTrace(t *testing.T) {
+	for name, tr := range map[string]*energy.Trace{"nil": nil, "empty": energy.ConstantTrace(1e-3, 1000, 0)} {
+		for _, reference := range []bool{false, true} {
+			r := buildDevice(t, accumProgram, NewClank(DefaultClankConfig()), tr)
+			r.Reference = reference
+			res, err := r.RunToHalt()
+			if err != ErrOutOfPower {
+				t.Fatalf("%s trace, reference=%v: err = %v, want ErrOutOfPower", name, reference, err)
+			}
+			if res.Outages != 1 {
+				t.Fatalf("%s trace, reference=%v: %d outages, want 1", name, reference, res.Outages)
+			}
+		}
+	}
+}
+
+// TestReplayDistanceMatchesReference: the batched loop advances a
+// policy's counters per window instead of per instruction, so the replay
+// distance the lockstep injector reads must still equal the reference
+// loop's when a run stops mid-interval (here at the cycle budget).
+func TestReplayDistanceMatchesReference(t *testing.T) {
+	policies := map[string]func() Policy{
+		"clank":   func() Policy { return NewClank(DefaultClankConfig()) },
+		"naive":   func() Policy { return NewNaive(DefaultNaiveConfig()) },
+		"undolog": func() Policy { return NewUndoLog(DefaultUndoLogConfig()) },
+		"restart": func() Policy { return NewRestart(DefaultRestartConfig()) },
+	}
+	for name, policy := range policies {
+		for _, budget := range []uint64{20_011, 45_678} {
+			var dist [2]uint64
+			for i, reference := range []bool{false, true} {
+				r := buildDevice(t, accumProgram, policy(), weak())
+				r.Reference = reference
+				r.MaxCycles = budget
+				if _, err := r.RunToHalt(); err != ErrCycleBudget {
+					t.Fatalf("%s: err = %v, want ErrCycleBudget", name, err)
+				}
+				dist[i] = r.Policy.(ReplayDistancer).ReplayDistance()
+			}
+			if dist[0] != dist[1] {
+				t.Errorf("%s, budget %d: replay distance %d batched, %d reference", name, budget, dist[0], dist[1])
+			}
+		}
+	}
+}
+
 func TestCycleBudgetGuard(t *testing.T) {
 	src := "spin: B spin"
 	r := buildDevice(t, src, NewNVP(DefaultNVPConfig()), ample())

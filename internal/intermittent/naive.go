@@ -88,12 +88,18 @@ func (n *Naive) takeCheckpoint() {
 
 // BatchHorizon implements Policy: the batched executor may run until the
 // watchdog would fire.
-func (n *Naive) BatchHorizon() (uint64, float64) {
+func (n *Naive) BatchHorizon() uint64 {
 	if n.sinceCheckpoint >= n.cfg.WatchdogCycles {
-		return 0, 0
+		return 0
 	}
-	return n.cfg.WatchdogCycles - n.sinceCheckpoint, 0
+	return n.cfg.WatchdogCycles - n.sinceCheckpoint
 }
+
+// Advance implements Policy.
+func (n *Naive) Advance(cycles uint64) { n.sinceCheckpoint += cycles }
+
+// BackupFactor implements Policy: no per-cycle surcharge.
+func (n *Naive) BackupFactor() float64 { return 0 }
 
 // AfterStep implements Policy: it applies the watchdog and surfaces any
 // checkpoint overhead accrued during the instruction.

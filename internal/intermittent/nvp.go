@@ -48,13 +48,18 @@ func (n *NVP) Attach(r *Runner) {
 }
 
 // BatchHorizon implements Policy: NVP has no watchdog, so only the energy
-// headroom bounds a batch; the per-cycle backup surcharge is the drain
-// bound the runner must assume.
-func (n *NVP) BatchHorizon() (uint64, float64) {
-	return math.MaxUint64, n.cfg.BackupEnergyFactor * n.r.Supply.Config().EnergyPerCycle
-}
+// headroom bounds a batch.
+func (n *NVP) BatchHorizon() uint64 { return math.MaxUint64 }
+
+// Advance implements Policy: NVP counts nothing.
+func (n *NVP) Advance(uint64) {}
+
+// BackupFactor implements Policy.
+func (n *NVP) BackupFactor() float64 { return n.cfg.BackupEnergyFactor }
 
 // AfterStep implements Policy: charge the per-cycle backup surcharge.
+// energy.Supply.SpendRun charges a window's middle instructions with the
+// same expression.
 func (n *NVP) AfterStep(cost cpu.Cost) (uint32, float64) {
 	extra := float64(cost.Cycles) * n.cfg.BackupEnergyFactor * n.r.Supply.Config().EnergyPerCycle
 	return 0, extra

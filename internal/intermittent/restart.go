@@ -48,7 +48,13 @@ func (p *Restart) Attach(r *Runner) { p.r = r }
 
 // BatchHorizon implements Policy: no watchdog, no tracking — the batched
 // executor may run arbitrarily far.
-func (p *Restart) BatchHorizon() (uint64, float64) { return 1 << 62, 0 }
+func (p *Restart) BatchHorizon() uint64 { return 1 << 62 }
+
+// Advance implements Policy.
+func (p *Restart) Advance(cycles uint64) { p.sinceRestore += cycles }
+
+// BackupFactor implements Policy: no per-cycle surcharge.
+func (p *Restart) BackupFactor() float64 { return 0 }
 
 // AfterStep implements Policy: no per-instruction overhead; it only
 // counts the cycles a restore would replay.

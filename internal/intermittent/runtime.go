@@ -43,13 +43,26 @@ type Policy interface {
 	OnRestore() (extraCycles uint32, extraEnergy float64)
 	// Checkpoints returns how many checkpoints the policy has taken.
 	Checkpoints() uint64
-	// BatchHorizon reports the constraints under which the batched executor
-	// may run without per-instruction policy observation: no event that
+	// BatchHorizon reports how many cycles the batched executor may run
+	// before the policy must observe an instruction: no event that
 	// inspects CPU state (a watchdog checkpoint) may fire strictly inside
-	// the next `cycles` cycles, and `energyPerCycle` bounds the extra
-	// per-cycle energy AfterStep charges within that window. A zero horizon
-	// forces the runner back to the per-instruction reference path.
-	BatchHorizon() (cycles uint64, energyPerCycle float64)
+	// them. A zero horizon forces the per-instruction reference path.
+	//
+	// Inside the horizon AfterStep only counts cycles and charges
+	// BackupFactor's surcharge. A batched window therefore calls it on its
+	// first instruction, which may surface overhead accrued before the
+	// window, and its last, where the horizon may end; the instructions
+	// between go through Advance.
+	BatchHorizon() uint64
+	// Advance counts cycles run strictly inside the horizon by
+	// instructions whose AfterStep the batched executor skipped.
+	Advance(cycles uint64)
+	// BackupFactor is the per-cycle backup surcharge, as a fraction of
+	// EnergyPerCycle, that AfterStep charges on every instruction (NVP's
+	// backup-every-cycle); zero for the other runtimes. The batched
+	// executor charges it for a window's middle instructions with the
+	// floating-point operations AfterStep uses.
+	BackupFactor() float64
 }
 
 // Result summarizes a run to completion.
@@ -138,9 +151,9 @@ func (r *Runner) ForceFailure() {
 // Unless Reference is set or an OnProgress callback needs per-instruction
 // granularity, execution goes through the batched fast path: the CPU runs
 // uninterrupted windows via cpu.Run sized so that no checkpoint, brown-out,
-// or cycle-budget event can fall strictly inside a window, and the recorded
-// per-instruction costs are replayed through the policy and supply in
-// reference order. Results are byte-identical to the reference loop.
+// or cycle-budget event can fall strictly inside a window, and each window
+// settles its recorded costs in one pass (see settleWindow). Results are
+// byte-identical to the reference loop.
 func (r *Runner) RunToHalt() (Result, error) {
 	if r.Reference || r.OnProgress != nil {
 		return r.runReference()
@@ -210,7 +223,7 @@ func (r *Runner) runReference() (Result, error) {
 
 // Batched-executor window sizing. batchSlack keeps a window clear of the
 // brown-out threshold: cpu.Run overshoots its budget by less than
-// cpu.MaxInstrCycles, and the first replayed AfterStep may surface one
+// cpu.MaxInstrCycles, and the window's first AfterStep may surface one
 // pending checkpoint (~40 cycles plus 17 NV-word writes) accrued just
 // before the window. 64 cycles of worst-case drain covers both with
 // margin. minBatch is the smallest window worth entering the batched
@@ -220,11 +233,11 @@ const (
 	minBatch   = 96
 )
 
-// runBatched drives the CPU through cpu.Run windows and replays the
-// recorded per-instruction costs through Policy.AfterStep and Supply.Spend
-// in exactly the reference order, so every energy draw, harvest charge,
-// checkpoint, and outage lands on the same instruction boundary with the
-// same floating-point values as runReference.
+// runBatched drives the CPU through cpu.Run windows and settles each
+// window's recorded costs in reference order (settleWindow), so every
+// energy draw, harvest charge, checkpoint, and outage lands on the same
+// instruction boundary with the same floating-point values as
+// runReference.
 func (r *Runner) runBatched() (Result, error) {
 	maxCycles := r.MaxCycles
 	if maxCycles == 0 {
@@ -250,6 +263,7 @@ func (r *Runner) runBatched() (Result, error) {
 	}
 
 	cfg := r.Supply.Config()
+	backup := r.Policy.BackupFactor()
 	costs := make([]cpu.Cost, 0, 4096)
 
 	// stepOnce is one reference-loop iteration body: Step (with hook
@@ -259,9 +273,7 @@ func (r *Runner) runBatched() (Result, error) {
 		if err != nil {
 			return fmt.Errorf("intermittent: fault: %w", err)
 		}
-		ec, ee := r.Policy.AfterStep(cost)
-		nvEnergy := float64(cost.NVWrites) * cfg.NVWriteEnergy
-		if !r.Supply.Spend(cost.Cycles+ec, nvEnergy+ee) {
+		if !r.spendStep(cost) {
 			return outage()
 		}
 		return nil
@@ -291,9 +303,8 @@ func (r *Runner) runBatched() (Result, error) {
 		// at the same instruction as the reference loop).
 		var budget uint64
 		if !forceStep {
-			horizon, surcharge := r.Policy.BatchHorizon()
-			if horizon > 0 {
-				drain := cfg.EnergyPerCycle + cfg.NVWriteEnergy + surcharge
+			if horizon := r.Policy.BatchHorizon(); horizon > 0 {
+				drain := cfg.EnergyPerCycle + cfg.NVWriteEnergy + backup*cfg.EnergyPerCycle
 				nSafe := uint64(r.Supply.Headroom() / drain)
 				if nSafe > minBatch+batchSlack {
 					budget = nSafe - batchSlack
@@ -321,19 +332,10 @@ func (r *Runner) runBatched() (Result, error) {
 
 		costs = costs[:0]
 		batch, err := r.CPU.Run(budget, &costs)
-		// Replay first: the instructions before a fault (or a StopStore /
+		// Settle first: the instructions before a fault (or a StopStore /
 		// StopSkim boundary) executed and must pay energy in order.
-		for _, cost := range costs {
-			ec, ee := r.Policy.AfterStep(cost)
-			nvEnergy := float64(cost.NVWrites) * cfg.NVWriteEnergy
-			if !r.Supply.Spend(cost.Cycles+ec, nvEnergy+ee) {
-				// By construction this can only be the window's final
-				// instruction (see batchSlack); handle it like the
-				// reference loop would.
-				if oerr := outage(); oerr != nil {
-					return r.result(startOn, startOff, startOut, startDrawn, startInst), oerr
-				}
-			}
+		if serr := r.settleWindow(costs, backup, outage); serr != nil {
+			return r.result(startOn, startOff, startOut, startDrawn, startInst), serr
 		}
 		if err != nil {
 			return r.result(startOn, startOff, startOut, startDrawn, startInst), fmt.Errorf("intermittent: fault: %w", err)
@@ -343,6 +345,46 @@ func (r *Runner) runBatched() (Result, error) {
 		forceStep = batch.Reason == cpu.StopStore
 	}
 	return r.result(startOn, startOff, startOut, startDrawn, startInst), nil
+}
+
+// spendStep charges one executed instruction as the reference loop does:
+// the policy's AfterStep overhead, then the instruction's cycles and
+// NV-write energy. It reports false on a brown-out.
+func (r *Runner) spendStep(cost cpu.Cost) bool {
+	ec, ee := r.Policy.AfterStep(cost)
+	nvEnergy := float64(cost.NVWrites) * r.Supply.Config().NVWriteEnergy
+	return r.Supply.Spend(cost.Cycles+ec, nvEnergy+ee)
+}
+
+// settleWindow charges a window's recorded costs in reference order. The
+// window lies inside the policy's horizon, so only its first instruction
+// (which may surface overhead accrued before the window) and its last
+// (where the watchdog may fire) go through AfterStep. The ones between
+// settle in one Supply.SpendRun pass, which charges the backup surcharge
+// as AfterStep would, and the policy's counters advance by their cycles.
+func (r *Runner) settleWindow(costs []cpu.Cost, backup float64, outage func() error) error {
+	last := len(costs) - 1
+	for i := 0; i <= last; {
+		var ok bool
+		if i == 0 || i == last {
+			ok = r.spendStep(costs[i])
+			i++
+		} else {
+			on := r.Supply.CyclesOn
+			var n int
+			n, ok = r.Supply.SpendRun(costs[i:last], backup)
+			r.Policy.Advance(r.Supply.CyclesOn - on)
+			i += n
+		}
+		// By construction only the window's last instruction can brown out
+		// (see batchSlack); handle it like the reference loop would.
+		if !ok {
+			if err := outage(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 func (r *Runner) result(startOn, startOff, startOut uint64, startDrawn float64, startInst uint64) Result {

@@ -134,12 +134,18 @@ func (u *UndoLog) takeCheckpoint() {
 // BatchHorizon implements Policy: like Clank, the watchdog bounds a batch;
 // log appends happen only under the store hook, which the batched executor
 // routes through Step.
-func (u *UndoLog) BatchHorizon() (uint64, float64) {
+func (u *UndoLog) BatchHorizon() uint64 {
 	if u.sinceCheckpoint >= u.cfg.WatchdogCycles {
-		return 0, 0
+		return 0
 	}
-	return u.cfg.WatchdogCycles - u.sinceCheckpoint, 0
+	return u.cfg.WatchdogCycles - u.sinceCheckpoint
 }
+
+// Advance implements Policy.
+func (u *UndoLog) Advance(cycles uint64) { u.sinceCheckpoint += cycles }
+
+// BackupFactor implements Policy: no per-cycle surcharge.
+func (u *UndoLog) BackupFactor() float64 { return 0 }
 
 // AfterStep implements Policy.
 func (u *UndoLog) AfterStep(cost cpu.Cost) (uint32, float64) {
